@@ -22,7 +22,7 @@
 namespace raq::obs {
 
 enum class EventKind : std::uint8_t {
-    RequantBuild,   ///< background Algorithm 1 rebuild finished (build_ms set)
+    RequantBuild,   ///< Algorithm 1 rebuild finished (build_ms set)
     RequantSwap,    ///< new ModelState adopted at a batch boundary
     RecutTrigger,   ///< RepartitionMonitor saw imbalance past threshold
     Recut,          ///< drain-and-swap re-cut installed a new partition

@@ -14,9 +14,8 @@ namespace raq::serve {
 [[nodiscard]] tensor::Tensor stack_batch(const std::vector<InferenceRequest>& batch);
 
 /// Build the result for request `request_id` from row `row` of the
-/// batched logits (or of a single-sample run when row = 0): copies the
-/// logits row and takes its argmax. Device/latency fields are left for
-/// the caller.
+/// batched logits: copies the logits row and takes its argmax.
+/// Device/latency fields are left for the caller.
 [[nodiscard]] InferenceResult make_result(std::uint64_t request_id,
                                           const tensor::Tensor& logits, int row);
 

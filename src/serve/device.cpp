@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "serve/batcher.hpp"
 
 namespace raq::serve {
 
@@ -37,7 +36,7 @@ double ms_since(const std::chrono::steady_clock::time_point& t0) {
 }  // namespace
 
 NpuDevice::NpuDevice(int id, const ServeContext& ctx, const DeviceConfig& config,
-                     RequantService* requant_service, obs::Telemetry* telemetry,
+                     RequantService& requant_service, obs::Telemetry* telemetry,
                      ReliabilityPlanner* planner, int stage)
     : id_(id),
       stage_(stage),
@@ -196,16 +195,6 @@ void NpuDevice::install(const std::shared_ptr<const core::ModelState>& state, bo
     }
 }
 
-void NpuDevice::requant_inline(double dvth) {
-    const auto build_start = std::chrono::steady_clock::now();
-    auto built = job_->build(dvth, generation() + 1);
-    // Even full compression cannot meet timing: keep the current
-    // deployment rather than serve a graph that violates the clock.
-    if (!built) return;
-    install(std::make_shared<const core::ModelState>(std::move(*built)),
-            /*record_event=*/true, /*background=*/false, ms_since(build_start));
-}
-
 void NpuDevice::execute_requant(double dvth_mv, std::uint64_t generation) {
     const auto build_start = std::chrono::steady_clock::now();
     auto built = job_->build(dvth_mv, generation);
@@ -214,8 +203,8 @@ void NpuDevice::execute_requant(double dvth_mv, std::uint64_t generation) {
         outcome.state = std::make_shared<const core::ModelState>(std::move(*built));
     outcome.build_ms = ms_since(build_start);
     if (telemetry_) {
-        // Build completion is its own timeline event (on the service
-        // worker's clock); the swap records separately at adoption, so
+        // Build completion is its own timeline event (on the building
+        // thread's clock); the swap records separately at adoption, so
         // the build→swap gap is visible in the rendered timeline.
         obs::ReliabilityEvent re;
         re.t_us = obs::monotonic_us();
@@ -237,10 +226,13 @@ bool NpuDevice::adopt_pending() {
         if (!pending_) return false;
         outcome.swap(pending_);
     }
+    // An infeasible build (even full compression cannot meet timing)
+    // keeps the current deployment rather than serve a graph that
+    // violates the clock.
     const bool swapped = outcome->state != nullptr;
     if (swapped)
-        install(std::move(outcome->state), /*record_event=*/true, /*background=*/true,
-                outcome->build_ms);
+        install(std::move(outcome->state), /*record_event=*/true,
+                /*background=*/!requant_service_.synchronous(), outcome->build_ms);
     // Clear the gate only after the install: the next threshold check
     // starts from the adopted state's baseline.
     requant_in_flight_.store(false, std::memory_order_release);
@@ -296,8 +288,7 @@ void NpuDevice::finish_requants() {
     const double dvth_now = dvth_mv();
     if (dvth_now - deployed_state()->dvth_mv >= config_.requant_threshold_mv) {
         // Build-and-adopt through the same publish path a service worker
-        // uses: the event records as background (no batch stalled — the
-        // stream is over) with its build latency.
+        // uses, with its build latency on the event.
         execute_requant(dvth_now, generation() + 1);
         adopt_pending();
     }
@@ -347,7 +338,9 @@ void NpuDevice::account_batch(std::size_t requests, std::uint64_t batch_cycles,
     }
 }
 
-tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch, BatchTrace* trace) {
+tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch,
+                                        const std::vector<InferenceRequest>& requests,
+                                        BatchTrace* trace) {
     // The deployed state cannot change mid-batch: only this thread (and
     // the post-join shutdown drain) installs, and the snapshot pins it.
     const std::shared_ptr<const core::ModelState> serving = deployed_state();
@@ -356,14 +349,37 @@ tensor::Tensor NpuDevice::execute_batch(tensor::TensorView batch, BatchTrace* tr
         per_image_cycles() * static_cast<std::uint64_t>(batch.shape.n);
     const bool duty = config_.traffic_aging.enabled;
     const std::int64_t host_t0 = duty ? obs::monotonic_us() : 0;
-    tensor::Tensor logits = runner_->run(batch);
+    tensor::Tensor logits;
+    std::uint64_t flips = 0;
+    if (config_.flip_probability > 0.0) {
+        if (requests.size() != static_cast<std::size_t>(batch.shape.n))
+            throw std::invalid_argument("NpuDevice: one request per batch row is required");
+        inject::InjectionConfig inj_cfg;
+        inj_cfg.flip_probability = config_.flip_probability;
+        for (int row = 0; row < batch.shape.n; ++row) {
+            inj_cfg.seed = common::stream_seed(config_.base_seed,
+                                               requests[static_cast<std::size_t>(row)].id);
+            inject::BitFlipInjector injector(inj_cfg);
+            const tensor::Tensor out = runner_->run(batch.batch_view(row, 1), &injector);
+            flips += injector.flips_injected();
+            if (row == 0) {
+                tensor::Shape shape = out.shape();
+                shape.n = batch.shape.n;
+                logits = tensor::Tensor(shape);
+            }
+            std::copy(out.data(), out.data() + out.size(),
+                      logits.data() + static_cast<std::size_t>(row) * out.size());
+        }
+    } else {
+        logits = runner_->run(batch);
+    }
     const std::int64_t host_t1 = duty ? obs::monotonic_us() : 0;
     if (trace) {
         trace->cycles = batch_cycles;
         trace->latency_us = static_cast<double>(batch_cycles) * period * 1e-6;
         trace->generation = serving->generation;
     }
-    account_batch(static_cast<std::size_t>(batch.shape.n), batch_cycles, period, 0,
+    account_batch(static_cast<std::size_t>(batch.shape.n), batch_cycles, period, flips,
                   host_t0, host_t1);
     return logits;
 }
@@ -388,92 +404,13 @@ void NpuDevice::requant_boundary() {
     } else if (dvth_now - dvth_deployed < config_.requant_threshold_mv) {
         return;
     }
-    if (requant_service_ == nullptr) {
-        // Inline mode: the device stalls for the full build (exactly one
-        // deployment per crossing: the device is held exclusively, and
-        // the install resets the baseline).
-        requant_inline(dvth_now);
-    } else if (!requant_in_flight_.exchange(true, std::memory_order_acq_rel)) {
-        requant_service_->enqueue(*this, dvth_now, generation() + 1);
-    }
-}
-
-void NpuDevice::serve(std::vector<InferenceRequest>& batch) {
-    if (batch.empty()) return;
-    if (config_.flip_probability > 0.0) {
-        // Fault-injection mode executes per request with a request-id-
-        // derived seed: results are independent of batching decisions and
-        // thread scheduling, so parallel serving runs are reproducible.
-        const std::shared_ptr<const core::ModelState> serving = deployed_state();
-        const double period = clock_period_ps();
-        const std::uint64_t batch_cycles =
-            per_image_cycles() * static_cast<std::uint64_t>(batch.size());
-        const double latency_us = static_cast<double>(batch_cycles) * period * 1e-6;
-        inject::InjectionConfig inj_cfg;
-        inj_cfg.flip_probability = config_.flip_probability;
-        std::uint64_t batch_flips = 0;
-        const bool duty = config_.traffic_aging.enabled;
-        const std::int64_t host_t0 = duty ? obs::monotonic_us() : 0;
-        for (InferenceRequest& request : batch) {
-            inj_cfg.seed = common::stream_seed(config_.base_seed, request.id);
-            inject::BitFlipInjector injector(inj_cfg);
-            const tensor::Tensor logits = runner_->run(request.image, &injector);
-            InferenceResult result = make_result(request.id, logits, 0);
-            result.klass = request.klass;
-            result.device_id = id_;
-            result.generation = serving->generation;
-            result.latency_cycles = batch_cycles;
-            result.latency_us = latency_us;
-            request.resolve(std::move(result));
-            batch_flips += injector.flips_injected();
-            if (request.trace && telemetry_) {
-                const std::int64_t now = obs::monotonic_us();
-                request.trace->mark(obs::SpanKind::Execute, now, id_, stage_,
-                                    serving->generation);
-                request.trace->mark(obs::SpanKind::Complete, now);
-                telemetry_->traces().finish(std::move(request.trace));
-            }
-        }
-        account_batch(batch.size(), batch_cycles, period, batch_flips, host_t0,
-                      duty ? obs::monotonic_us() : 0);
-    } else {
-        bool any_trace = false;
-        for (const InferenceRequest& request : batch) any_trace |= request.trace != nullptr;
-        if (any_trace) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace) request.trace->mark(obs::SpanKind::Batch, now);
-        }
-        const tensor::Tensor stacked = stack_batch(batch);
-        BatchTrace trace;
-        const tensor::Tensor logits =
-            execute_batch(stacked.batch_view(0, stacked.shape().n), &trace);
-        if (any_trace) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace)
-                    request.trace->mark(obs::SpanKind::Execute, now, id_, stage_,
-                                        trace.generation);
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            InferenceResult result = make_result(batch[i].id, logits, static_cast<int>(i));
-            result.klass = batch[i].klass;
-            result.device_id = id_;
-            result.generation = trace.generation;
-            result.latency_cycles = trace.cycles;
-            result.latency_us = trace.latency_us;
-            batch[i].resolve(std::move(result));
-        }
-        if (any_trace && telemetry_) {
-            const std::int64_t now = obs::monotonic_us();
-            for (InferenceRequest& request : batch)
-                if (request.trace) {
-                    request.trace->mark(obs::SpanKind::Complete, now);
-                    telemetry_->traces().finish(std::move(request.trace));
-                }
-        }
-    }
-    requant_boundary();
+    if (requant_in_flight_.exchange(true, std::memory_order_acq_rel)) return;
+    requant_service_.enqueue(*this, dvth_now, generation() + 1);
+    // A synchronous service has already published the build: adopt it
+    // at this same boundary (exactly one deployment per crossing — the
+    // install resets the baseline). A background build is adopted at a
+    // later boundary.
+    if (requant_service_.synchronous()) adopt_pending();
 }
 
 DeviceStats NpuDevice::stats() const {

@@ -10,19 +10,27 @@
 // operating hours and throughput all track the aged clock rather than
 // the fresh-forever critical path cached at construction.
 //
+// A device is one stage of a ShardGroup: the whole model in a 1-shard
+// group (the replicated layout), one sub-graph otherwise. It executes
+// batches (execute_batch) and runs the batch-boundary deployment
+// maintenance (requant_boundary); the group owns batching, handoff and
+// promise fulfilment.
+//
 // Deployment lifecycle: crossing `requant_threshold_mv` since the
-// deployed state's build level triggers, at the next batch boundary,
-// either an inline rebuild (no RequantService — the device stalls for
-// the build, the pre-PR behavior) or a background build: the device
-// enqueues one job with the RequantService, keeps serving generation g,
-// and adopts the published generation g+1 at a later batch boundary via
-// an atomic payload rebind. At most one build is in flight per device.
+// deployed state's build level triggers, at the next batch boundary, one
+// RequantService job for generation g+1. With background workers the
+// device keeps serving generation g and adopts the published g+1 at a
+// later batch boundary via an atomic payload rebind; a synchronous
+// service builds on the serve thread and the device adopts at the same
+// boundary (it stalls for the build). At most one build is in flight per
+// device.
 //
 // Concurrency contract (compiler-checked — see src/common/README.md):
-// a device is checked out exclusively by one worker at a time (the
-// server's device pool enforces this), so execution state (the runner)
-// needs no locks. Three small mutexes guard what observers and the
-// background builder touch — `state_mutex_` the deployed ModelState
+// one thread drives a device at a time — stage 0 by the worker that
+// checked its group out of the server's pool, stage k > 0 by the group's
+// stage thread k — so execution state (the runner) needs no locks.
+// Three small mutexes guard what observers and the background build
+// thread touch — `state_mutex_` the deployed ModelState
 // *pointer*, `pending_mutex_` the published-but-not-adopted state,
 // `stats_mutex_` the counters — and are never held together; the
 // RAQ_ACQUIRED_BEFORE edges below make that a build error rather than a
@@ -108,23 +116,13 @@ struct DeviceConfig {
     sim::TrafficAgingConfig traffic_aging;
 };
 
-/// One schedulable unit in the server's pool: a whole-model device or a
-/// sharded pipeline group. serve() must eventually fulfill every
-/// request's promise — synchronously for a device, asynchronously (at
-/// the end of the pipeline) for a ShardGroup.
-class ServeUnit {
+class NpuDevice {
 public:
-    virtual ~ServeUnit() = default;
-    virtual void serve(std::vector<InferenceRequest>& batch) = 0;
-};
-
-class NpuDevice : public ServeUnit, public RequantTarget {
-public:
-    /// `ctx` must outlive the device (NpuServer guarantees this by
-    /// owning its own ServeContext copy; ShardGroup owns the per-shard
-    /// context). With a `requant_service`, threshold crossings build the
-    /// next generation in the background; without one they rebuild
-    /// inline at the batch boundary. With `telemetry`, the device
+    /// `ctx` must outlive the device (the ShardGroup owns the per-shard
+    /// context). Threshold crossings build the next generation through
+    /// `requant_service` (background or synchronous — see
+    /// requant_service.hpp), which must outlive the device. With
+    /// `telemetry`, the device
     /// registers its metric series at construction (labels: device id,
     /// plus the pipeline stage when `stage >= 0`) and caches the
     /// instrument pointers — the serving path never touches the registry
@@ -134,16 +132,8 @@ public:
     /// predicted low-traffic windows, bounded deferral otherwise)
     /// instead of the bare threshold test.
     NpuDevice(int id, const ServeContext& ctx, const DeviceConfig& config,
-              RequantService* requant_service = nullptr,
-              obs::Telemetry* telemetry = nullptr,
+              RequantService& requant_service, obs::Telemetry* telemetry = nullptr,
               ReliabilityPlanner* planner = nullptr, int stage = -1);
-
-    /// Serve one batch: execute every request on the deployed state,
-    /// fulfill its promise, account busy time, then age the device,
-    /// adopt a background-built state if one was published, and trigger
-    /// re-quantization if the threshold was crossed. Called with
-    /// exclusive ownership of the device.
-    void serve(std::vector<InferenceRequest>& batch) override;
 
     /// What one execute_batch() pass ran on and cost (in model time, at
     /// the clock in effect for the batch).
@@ -153,18 +143,22 @@ public:
         std::uint64_t generation = 0;   ///< ModelState generation that served it
     };
 
-    /// Lower-level batch execution for pipeline composition (ShardGroup
-    /// stages): run `batch` through the deployed state and account
-    /// requests/busy time/aging. Does not touch promises, does not
-    /// inject faults, and does not run the re-quantization boundary —
-    /// call requant_boundary() after forwarding the output downstream.
+    /// Run `batch` (one row per entry of `requests`, which ride along)
+    /// through the deployed state and account requests/busy time/aging.
+    /// With flip_probability > 0 every row runs on its own under a
+    /// bit-flip injector seeded by its request id, so results do not
+    /// depend on batching or thread scheduling. Does not touch promises
+    /// and does not run the re-quantization boundary — call
+    /// requant_boundary() after forwarding the output downstream.
     /// Called with exclusive ownership of the device.
     [[nodiscard]] tensor::Tensor execute_batch(tensor::TensorView batch,
+                                               const std::vector<InferenceRequest>& requests,
                                                BatchTrace* trace = nullptr);
 
-    /// Batch boundary maintenance: adopt a background-built state if one
-    /// was published, then trigger re-quantization on a threshold
-    /// crossing (inline without a RequantService, enqueued otherwise).
+    /// Batch boundary maintenance: adopt a published state if there is
+    /// one, then enqueue a re-quantization on a threshold crossing (a
+    /// synchronous service builds it here, and it is adopted before
+    /// returning).
     void requant_boundary();
 
     /// Online re-cut support: remap this device onto the (changed)
@@ -187,6 +181,8 @@ public:
         RAQ_EXCLUDES(pending_mutex_, state_mutex_, stats_mutex_);
 
     [[nodiscard]] int id() const { return id_; }
+    /// Pipeline stage index (-1 on a whole-model device).
+    [[nodiscard]] int stage() const { return stage_; }
     /// Current clock period: the deployed compression's aged critical
     /// path (× any guardband the selection allowed). Wait-free read.
     [[nodiscard]] double clock_period_ps() const {
@@ -210,32 +206,30 @@ public:
     [[nodiscard]] DeviceStats stats() const
         RAQ_EXCLUDES(state_mutex_, stats_mutex_);
 
-    /// RequantService worker entry: build `generation` for aging level
-    /// `dvth_mv` off the serving path and publish it into the pending
-    /// slot. Touches only the immutable context and the pending slot, so
-    /// it runs concurrently with serve().
-    void execute_requant(double dvth_mv, std::uint64_t generation) override
+    /// RequantService entry: build `generation` for aging level
+    /// `dvth_mv` and publish it into the pending slot. Touches only the
+    /// immutable context and the pending slot, so a background worker
+    /// runs it concurrently with serving.
+    void execute_requant(double dvth_mv, std::uint64_t generation)
         RAQ_EXCLUDES(pending_mutex_);
 
     /// Adopt a published pending state, if any: swap the deployed
     /// pointer, rebind the runner's payload, record the event. Returns
     /// true when a new generation was installed. Called by the serve
     /// thread at batch boundaries and by NpuServer::shutdown() after the
-    /// serve workers have joined (never concurrently with serve()).
+    /// serve workers have joined (never concurrently with serving).
     bool adopt_pending() RAQ_EXCLUDES(pending_mutex_, state_mutex_, stats_mutex_);
 
     /// Shutdown drain (serve workers joined, RequantService drained):
     /// adopt anything published, then catch up on a crossing that was
     /// absorbed while a build was in flight — aging is frozen now, so
-    /// one final build lands the device exactly where an inline run
+    /// one final build lands the device exactly where a synchronous run
     /// would have.
     void finish_requants();
 
 private:
     void install(const std::shared_ptr<const core::ModelState>& state, bool record_event,
                  bool background, double build_ms, bool recut = false)
-        RAQ_EXCLUDES(state_mutex_, stats_mutex_);
-    void requant_inline(double dvth)
         RAQ_EXCLUDES(state_mutex_, stats_mutex_);
     /// Post-execution accounting under the stats mutex: requests, busy
     /// cycles AND busy picoseconds at the clock the batch ran at, flips,
@@ -277,7 +271,7 @@ private:
     /// when an online re-cut changes the context's sub-graph; always
     /// engaged otherwise.
     std::optional<core::RequantJob> job_;
-    RequantService* requant_service_;
+    RequantService& requant_service_;
     /// Predictive scheduling of requant builds (null = reactive
     /// threshold behavior). Owned by NpuServer; outlives the device.
     ReliabilityPlanner* planner_;

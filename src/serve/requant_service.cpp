@@ -2,11 +2,13 @@
 
 #include <stdexcept>
 
+#include "serve/device.hpp"
+
 namespace raq::serve {
 
-RequantService::RequantService(int num_workers) {
-    if (num_workers < 1)
-        throw std::invalid_argument("RequantService: num_workers must be >= 1");
+RequantService::RequantService(int num_workers) : synchronous_(num_workers == 0) {
+    if (num_workers < 0)
+        throw std::invalid_argument("RequantService: num_workers must be >= 0");
     workers_.reserve(static_cast<std::size_t>(num_workers));
     for (int i = 0; i < num_workers; ++i)
         workers_.emplace_back([this] { worker_loop(); });
@@ -14,12 +16,15 @@ RequantService::RequantService(int num_workers) {
 
 RequantService::~RequantService() { shutdown(); }
 
-void RequantService::enqueue(RequantTarget& target, double dvth_mv,
-                             std::uint64_t generation) {
+void RequantService::enqueue(NpuDevice& device, double dvth_mv, std::uint64_t generation) {
+    if (synchronous_) {
+        device.execute_requant(dvth_mv, generation);
+        return;
+    }
     {
         const common::MutexLock lock(mutex_);
         if (stopped_) return;
-        jobs_.push_back(Job{&target, dvth_mv, generation});
+        jobs_.push_back(Job{&device, dvth_mv, generation});
     }
     cv_.notify_one();
 }
@@ -35,13 +40,9 @@ void RequantService::worker_loop() {
             jobs_.pop_front();
         }
         // The build runs entirely off the serving path: it reads the
-        // immutable ServeContext and writes only the target's pending
-        // slot, so the target keeps serving its current generation.
-        job.target->execute_requant(job.dvth_mv, job.generation);
-        {
-            const common::MutexLock lock(mutex_);
-            ++jobs_completed_;
-        }
+        // immutable ServeContext and writes only the device's pending
+        // slot, so the device keeps serving its current generation.
+        job.device->execute_requant(job.dvth_mv, job.generation);
     }
 }
 
@@ -54,11 +55,6 @@ void RequantService::shutdown() {
     cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
     workers_.clear();
-}
-
-std::uint64_t RequantService::jobs_completed() const {
-    const common::MutexLock lock(mutex_);
-    return jobs_completed_;
 }
 
 }  // namespace raq::serve

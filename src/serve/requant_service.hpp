@@ -1,14 +1,17 @@
-// RequantService: the background half of online re-quantization.
+// RequantService: where online re-quantization builds run.
 //
-// When a device crosses its ΔVth threshold at a batch boundary it no
-// longer runs Algorithm 1 inline (stalling every queued batch for the
-// full PTQ method search); it enqueues a job here and keeps serving its
-// current ModelState. A service worker builds the next generation off
-// the serving path (NpuDevice::execute_requant → core::RequantJob) and
-// publishes it into the device's pending slot; the device adopts it at
-// its next batch boundary with an atomic payload rebind. The old
-// generation serves every batch until the swap — double buffering at the
-// fleet level.
+// When a device crosses its ΔVth threshold at a batch boundary it
+// enqueues a job here. With worker threads (the background mode, the
+// default) the device keeps serving its current ModelState while a
+// service worker builds the next generation off the serving path
+// (NpuDevice::execute_requant → core::RequantJob) and publishes it into
+// the device's pending slot; the device adopts it at a later batch
+// boundary with an atomic payload rebind — double buffering at the fleet
+// level. With zero workers (the synchronous mode,
+// ServeConfig::background_requant = false) enqueue() runs the build on
+// the calling serve thread and the device adopts it at the same
+// boundary: the device stalls for the build. Both modes publish and
+// adopt through the same pending slot, so there is one deployment path.
 //
 // Coalescing: at most one build is in flight per device (the device's
 // in-flight flag gates enqueue), so a fast-aging device cannot flood the
@@ -18,8 +21,8 @@
 // shutdown() drains the queue — every accepted job is built and
 // published, never dropped — then joins the workers. NpuServer shuts the
 // service down after its serve workers have joined and then adopts any
-// still-pending states, so the fleet's final generations match what an
-// inline run would have deployed.
+// still-pending states, so the fleet's final generations match what a
+// synchronous run would have deployed.
 #pragma once
 
 #include <cstdint>
@@ -32,51 +35,46 @@
 
 namespace raq::serve {
 
-/// Anything the RequantService can build a generation for: a whole-model
-/// NpuDevice or one shard of a ShardGroup (each shard versions its own
-/// core::ModelState, so PR 3's background pipeline works per shard).
-class RequantTarget {
-public:
-    virtual ~RequantTarget() = default;
-    /// Build `generation` for aging level `dvth_mv` off the serving path
-    /// and publish it into the target's pending slot.
-    virtual void execute_requant(double dvth_mv, std::uint64_t generation) = 0;
-};
+class NpuDevice;
 
 class RequantService {
 public:
+    /// `num_workers` build threads; 0 builds synchronously on the
+    /// enqueuing thread.
     explicit RequantService(int num_workers);
     ~RequantService();
 
     RequantService(const RequantService&) = delete;
     RequantService& operator=(const RequantService&) = delete;
 
-    /// Enqueue a build of `generation` for `target` at aging level
-    /// `dvth_mv`. The caller (the target's serve thread) must hold the
-    /// target's in-flight gate, which is what guarantees at most one job
-    /// per target. Ignored after shutdown.
-    void enqueue(RequantTarget& target, double dvth_mv, std::uint64_t generation)
+    /// Enqueue a build of `generation` for `device` at aging level
+    /// `dvth_mv` (synchronous mode: build and publish it before
+    /// returning). The caller (the device's serve thread) must hold the
+    /// device's in-flight gate, which is what guarantees at most one job
+    /// per device. Background mode ignores it after shutdown.
+    void enqueue(NpuDevice& device, double dvth_mv, std::uint64_t generation)
         RAQ_EXCLUDES(mutex_);
+
+    /// True when builds run on the enqueuing thread (zero workers).
+    [[nodiscard]] bool synchronous() const { return synchronous_; }
 
     /// Drain every accepted job, then join the workers. Idempotent.
     void shutdown() RAQ_EXCLUDES(mutex_);
-
-    [[nodiscard]] std::uint64_t jobs_completed() const RAQ_EXCLUDES(mutex_);
 
 private:
     void worker_loop() RAQ_EXCLUDES(mutex_);
 
     struct Job {
-        RequantTarget* target = nullptr;
+        NpuDevice* device = nullptr;
         double dvth_mv = 0.0;
         std::uint64_t generation = 0;
     };
 
+    const bool synchronous_;
     mutable common::Mutex mutex_;
     common::CondVar cv_;
     std::deque<Job> jobs_ RAQ_GUARDED_BY(mutex_);
     bool stopped_ RAQ_GUARDED_BY(mutex_) = false;
-    std::uint64_t jobs_completed_ RAQ_GUARDED_BY(mutex_) = 0;
     /// Constructor/shutdown-thread only (join-synchronized, unguarded).
     std::vector<std::thread> workers_;
 };

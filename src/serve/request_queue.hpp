@@ -44,9 +44,10 @@ struct InferenceResult {
     std::vector<float> logits;
     int device_id = -1;
     std::uint64_t generation = 0;      ///< ModelState generation that served it
-    /// Partition generation of the shard pipeline that served it (0 on a
-    /// whole-model device). A drain-and-swap re-cut never tears a batch,
-    /// so one request is served end to end by exactly one partition.
+    /// Partition generation of the ShardGroup that served it: ≥ 1 on
+    /// every fleet (1 on a replicated one, which never re-cuts). A
+    /// drain-and-swap re-cut never tears a batch, so one request is
+    /// served end to end by exactly one partition.
     std::uint64_t partition = 0;
     std::uint64_t latency_cycles = 0;  ///< batch residency in model cycles
     double latency_us = 0.0;           ///< latency_cycles × device clock
@@ -91,21 +92,15 @@ struct InferenceRequest {
 
 /// Fail every still-unfulfilled promise in `batch` with `error`,
 /// leaving promises satisfied before the throw alone. The one error
-/// fan-out both the server's worker loop and a shard pipeline's stage
-/// threads apply when a batch throws mid-serve. Returns how many
-/// promises were failed (== how many requests did NOT complete).
-inline std::size_t fail_batch(std::vector<InferenceRequest>& batch,
-                              const std::exception_ptr& error) {
-    std::size_t failed = 0;
+/// fan-out a ShardGroup applies when a batch throws mid-serve.
+inline void fail_batch(std::vector<InferenceRequest>& batch, const std::exception_ptr& error) {
     for (InferenceRequest& request : batch) {
         try {
             request.reject(error);
-            ++failed;
         } catch (const std::future_error&) {
             // already satisfied before the throw
         }
     }
-    return failed;
 }
 
 }  // namespace raq::serve

@@ -2,20 +2,23 @@
 //
 // Topology: submit() → class-aware Scheduler (per-class bounded lanes,
 // interactive preempts batch at batch formation) → worker threads. Each
-// worker pops a dynamic batch, checks an idle serving unit out of the pool,
-// serves the batch on it and returns the unit. A unit is either a
-// whole-model NpuDevice (the replicated layout: every device carries the
-// full graph) or, with `num_shards > 1`, a ShardGroup: the model is
-// partitioned across `num_shards` devices (shard = ExecPlan sub-plan)
-// and batches pipeline device-to-device, with each shard versioning its
-// own ModelState and re-quantizing independently.
+// worker pops a dynamic batch, checks an idle ShardGroup out of the
+// pool, runs the group's stage 0 on it and returns the group. A group is
+// the one serving unit: `num_shards` devices over one model partition
+// (shard = ExecPlan sub-plan). With `num_shards == 1` (the default)
+// every group is one whole-model device and the fleet is replicated;
+// with `num_shards > 1` batches pipeline device-to-device through the
+// group's stage threads, each shard versioning its own ModelState and
+// re-quantizing independently. Either way the group's last stage is the
+// one place a request completes.
 //
 // Devices age as they serve; crossing the ΔVth re-quantization threshold
-// hands Algorithm 1 to the background RequantService, which builds the
-// next ModelState generation off the serving path — the device keeps
-// serving the old generation and swaps at a batch boundary, so no batch
-// ever stalls behind the PTQ method search. (Set
-// `background_requant = false` for the old inline behavior.)
+// hands Algorithm 1 to the RequantService. With background workers (the
+// default) it builds the next ModelState generation off the serving
+// path — the device keeps serving the old generation and swaps at a
+// batch boundary, so no batch ever stalls behind the PTQ method search.
+// `background_requant = false` makes the service synchronous: the build
+// runs on the serving thread and is adopted at the same boundary.
 //
 // shutdown() closes admission, drains every accepted request (including
 // batches still inside shard pipelines), joins the workers, then drains
@@ -56,10 +59,11 @@ struct ServeConfig {
     /// crossing (see serve/reliability_planner.hpp). Off by default —
     /// reactive PR 3/5 behavior.
     ReliabilityPlannerConfig planner;
-    /// Model sharding: 1 replicates the full graph per device; > 1
-    /// partitions the model across that many devices per pipeline group
-    /// (num_devices must be a multiple of num_shards). Sharded serving
-    /// requires flip_probability == 0 and full_algorithm1 == false.
+    /// Devices per ShardGroup: 1 makes every group one whole-model
+    /// device (the replicated layout); > 1 partitions the model across
+    /// that many devices per pipeline group (num_devices must be a
+    /// multiple of num_shards). Sharded serving requires
+    /// flip_probability == 0 and full_algorithm1 == false.
     int num_shards = 1;
     /// Bounded inter-shard handoff queue depth, in batches.
     std::size_t shard_handoff_capacity = 4;
@@ -79,10 +83,11 @@ struct ServeConfig {
     double initial_age_years = 0.0;
     double initial_age_step_years = 0.0;
     /// Build re-quantizations on a background worker pool and swap them
-    /// in double-buffered (the default). Off = the pre-existing inline
-    /// behavior: the device stalls at the batch boundary for the build.
+    /// in double-buffered (the default). Off = a synchronous
+    /// RequantService: the device stalls at the batch boundary for the
+    /// build and adopts it there.
     bool background_requant = true;
-    int requant_workers = 1;  ///< RequantService pool size
+    int requant_workers = 1;  ///< RequantService pool size (background mode)
     /// Fleet telemetry (off by default): metrics registry + per-request
     /// tracing + reliability-event timeline. See src/obs/README.md.
     obs::TelemetryConfig telemetry;
@@ -129,17 +134,20 @@ public:
     /// re-quantizations and adopt their generations. Idempotent.
     void shutdown();
 
-    /// Whole-model devices (0 in sharded mode — see num_shard_groups()).
-    [[nodiscard]] int num_devices() const { return static_cast<int>(devices_.size()); }
-    [[nodiscard]] const NpuDevice& device(int i) const { return *devices_.at(static_cast<std::size_t>(i)); }
+    /// Every device in the fleet, in device-id order: device i is shard
+    /// i % num_shards of group i / num_shards (on a replicated fleet,
+    /// group i's whole-model device).
+    [[nodiscard]] int num_devices() const { return config_.num_devices; }
+    [[nodiscard]] const NpuDevice& device(int i) const;
 
-    [[nodiscard]] bool sharded() const { return !groups_.empty(); }
+    [[nodiscard]] bool sharded() const { return config_.num_shards > 1; }
     [[nodiscard]] int num_shard_groups() const { return static_cast<int>(groups_.size()); }
     [[nodiscard]] const ShardGroup& shard_group(int i) const { return *groups_.at(static_cast<std::size_t>(i)); }
 
-    /// Online accuracy sampling: evaluate the unit's currently deployed
-    /// graph(s) on the first `samples` images of the context eval set.
-    /// `index` is a device index (replicated) or a group index (sharded).
+    /// Online accuracy sampling: evaluate group `index`'s currently
+    /// deployed graph chain on the first `samples` images of the context
+    /// eval set (on a replicated fleet the group index is the device
+    /// index).
     [[nodiscard]] double sample_accuracy(int index, int samples) const;
 
     [[nodiscard]] FleetStats fleet_stats() const;
@@ -175,14 +183,13 @@ private:
 
     ServeConfig config_;
     ServeContext ctx_;  ///< owned copy; pointed-to objects outlive the server
-    /// Declared before devices_/groups_ (and destroyed after them):
-    /// devices cache instrument pointers into the registry.
+    /// Declared before groups_ (and destroyed after them): devices cache
+    /// instrument pointers into the registry.
     std::unique_ptr<obs::Telemetry> telemetry_;
     /// Per-class series (label class="interactive"/"batch"), indexed by
-    /// RequestClass. The depth peak stays an unlabeled fleet-wide
-    /// high-water mark.
+    /// RequestClass; the groups count completions. The depth peak stays
+    /// an unlabeled fleet-wide high-water mark.
     obs::Counter* submitted_counter_[kNumRequestClasses] = {};
-    obs::Counter* completed_counter_[kNumRequestClasses] = {};
     obs::Gauge* queue_depth_[kNumRequestClasses] = {};
     obs::Gauge* queue_depth_peak_ = nullptr;
     obs::Histogram* queue_wait_us_[kNumRequestClasses] = {};
@@ -191,19 +198,18 @@ private:
     /// see sync_exec_metrics()).
     obs::Counter* exec_parallel_counter_ = nullptr;
     mutable std::atomic<std::uint64_t> exec_parallel_exported_{0};
-    /// Declared before devices_/groups_ (destroyed after them): devices
-    /// and shard groups consult the planner from their serve threads.
+    /// Declared before groups_ (destroyed after them): devices and
+    /// shard groups consult the planner from their serve threads.
     std::unique_ptr<ReliabilityPlanner> planner_;
     Scheduler queue_;
-    std::vector<std::unique_ptr<NpuDevice>> devices_;
     std::vector<std::unique_ptr<ShardGroup>> groups_;
-    /// Declared after devices_/groups_ so it is destroyed (and its
-    /// threads joined) before any device it references.
+    /// Declared after groups_ so it is destroyed (and its threads
+    /// joined) before any device it references.
     std::unique_ptr<RequantService> requant_service_;
 
     common::Mutex pool_mutex_;
     common::CondVar pool_cv_;
-    std::vector<ServeUnit*> idle_units_ RAQ_GUARDED_BY(pool_mutex_);
+    std::vector<ShardGroup*> idle_groups_ RAQ_GUARDED_BY(pool_mutex_);
 
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> next_request_id_{0};

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "core/requant_job.hpp"
+#include "exec/plan_cache.hpp"
 #include "ir/float_executor.hpp"
 #include "npu/systolic.hpp"
 #include "quant/quant_executor.hpp"
@@ -21,6 +23,17 @@ ShardPartition make_shard_partition(const ir::Graph& graph,
     // are the cost that matters.
     ShardPartition out;
     out.specs = ir::partition_graph(graph, num_shards, npu::op_cycle_costs(graph, systolic));
+    if (num_shards == 1) {
+        // The whole model: the stage serves the caller's graph itself
+        // (a non-owning alias — no extracted copy) on its cached plan.
+        exec::Subplan whole;
+        whole.graph = std::shared_ptr<const ir::Graph>(std::shared_ptr<const ir::Graph>(), &graph);
+        whole.plan = exec::PlanCache::global().get(graph, std::max(1, batch_capacity));
+        whole.full_tensor_of.resize(static_cast<std::size_t>(graph.num_tensors()));
+        std::iota(whole.full_tensor_of.begin(), whole.full_tensor_of.end(), 0);
+        out.subplans.push_back(std::move(whole));
+        return out;
+    }
     out.subplans.reserve(out.specs.size());
     for (const ir::ShardSpec& spec : out.specs)
         out.subplans.push_back(
@@ -46,37 +59,21 @@ ShardPartition make_shard_partition(const ir::Graph& graph,
 }
 
 ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupConfig& config,
-                       RequantService* requant_service,
+                       RequantService& requant_service,
                        std::atomic<std::uint64_t>* completed)
     : group_id_(group_id),
       completed_(completed),
       telemetry_(config.telemetry),
       full_ctx_(ctx),
       config_(config) {
-    if (telemetry_) {
-        const obs::Labels labels{{"group", std::to_string(group_id)}};
-        obs::MetricsRegistry& reg = telemetry_->metrics();
-        metrics_.checks = &reg.counter("raq_repartition_checks_total", labels);
-        metrics_.triggers = &reg.counter("raq_repartition_triggers_total", labels);
-        metrics_.futile = &reg.counter("raq_repartition_futile_total", labels);
-        metrics_.recuts = &reg.counter("raq_repartition_recuts_total", labels);
-        metrics_.imbalance = &reg.gauge("raq_repartition_imbalance", labels);
-        metrics_.partition_generation = &reg.gauge("raq_partition_generation", labels);
-        metrics_.partition_generation->set(1.0);
-        for (std::size_t c = 0; c < kNumRequestClasses; ++c)
-            metrics_.completed[c] = &reg.counter(
-                "raq_requests_completed_total",
-                {{"class", request_class_name(static_cast<RequestClass>(c))}});
-    }
     if (!ctx.graph || !ctx.calib || !ctx.selector || !ctx.aging)
         throw std::invalid_argument("ShardGroup: graph/calib/selector/aging are required");
-    if (config.num_shards < 2)
-        throw std::invalid_argument("ShardGroup: num_shards must be >= 2");
-    if (config.device.flip_probability > 0.0)
+    const bool whole_model = config.num_shards == 1;
+    if (!whole_model && config.device.flip_probability > 0.0)
         throw std::invalid_argument(
             "ShardGroup: fault injection is per-request on a whole-model device and is "
             "not supported on a sharded pipeline");
-    if (config.device.full_algorithm1)
+    if (!whole_model && config.device.full_algorithm1)
         throw std::invalid_argument(
             "ShardGroup: the full Algorithm 1 method search needs end-to-end evaluation; "
             "shards re-quantize via the fast path");
@@ -84,6 +81,11 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
         static_cast<int>(config.per_shard_systolic.size()) != config.num_shards)
         throw std::invalid_argument(
             "ShardGroup: per_shard_systolic must have one entry per shard");
+    const ShardPartition* partition = config.partition;
+    if (partition == nullptr || static_cast<int>(partition->specs.size()) != config.num_shards ||
+        partition->subplans.size() != partition->specs.size())
+        throw std::invalid_argument(
+            "ShardGroup: a partition matching num_shards is required");
     // The config copy outlives the constructor; the partition pointer
     // must not (the caller only guarantees it for the call).
     config_.partition = nullptr;
@@ -92,25 +94,23 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
                                 static_cast<std::size_t>(config.num_shards),
                                 config.device.systolic)
                           : config.per_shard_systolic;
-
-    // A server building several groups over one model computes the
-    // partition once and shares it; a standalone group cuts for itself
-    // (on the per-stage arrays when they differ).
-    ShardPartition own;
-    const ShardPartition* partition = config.partition;
-    if (partition == nullptr) {
-        if (config.per_shard_systolic.empty())
-            own = make_shard_partition(*ctx.graph, config.device.systolic, config.num_shards,
-                                       std::max(1, config.device.plan_batch_capacity));
-        else
-            own = make_shard_partition(*ctx.graph, stage_systolic_,
-                                       std::max(1, config.device.plan_batch_capacity));
-        partition = &own;
+    if (telemetry_) {
+        obs::MetricsRegistry& reg = telemetry_->metrics();
+        for (std::size_t c = 0; c < kNumRequestClasses; ++c)
+            metrics_.completed[c] = &reg.counter(
+                "raq_requests_completed_total",
+                {{"class", request_class_name(static_cast<RequestClass>(c))}});
+        if (!whole_model) {
+            const obs::Labels labels{{"group", std::to_string(group_id)}};
+            metrics_.checks = &reg.counter("raq_repartition_checks_total", labels);
+            metrics_.triggers = &reg.counter("raq_repartition_triggers_total", labels);
+            metrics_.futile = &reg.counter("raq_repartition_futile_total", labels);
+            metrics_.recuts = &reg.counter("raq_repartition_recuts_total", labels);
+            metrics_.imbalance = &reg.gauge("raq_repartition_imbalance", labels);
+            metrics_.partition_generation = &reg.gauge("raq_partition_generation", labels);
+            metrics_.partition_generation->set(1.0);
+        }
     }
-    if (static_cast<int>(partition->specs.size()) != config.num_shards ||
-        partition->subplans.size() != partition->specs.size())
-        throw std::invalid_argument(
-            "ShardGroup: the provided partition does not match num_shards");
 
     shards_.reserve(partition->specs.size());
     for (std::size_t k = 0; k < partition->specs.size(); ++k) {
@@ -118,27 +118,27 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
         auto shard = std::make_unique<ShardState>();
         shard->spec = partition->specs[k];
         shard->graph = sub.graph;  // shared across groups; pins the sub-plan's graph
-        shard->calib = quant::slice_calibration(*ctx.calib, sub.full_tensor_of);
+        shard->ctx = ctx;          // selector, aging model and (whole model) eval set
         shard->ctx.graph = shard->graph.get();
-        shard->ctx.calib = &shard->calib;
-        shard->ctx.selector = ctx.selector;
-        shard->ctx.aging = ctx.aging;
+        if (!whole_model) {
+            shard->calib = quant::slice_calibration(*ctx.calib, sub.full_tensor_of);
+            shard->ctx.calib = &shard->calib;
+            shard->ctx.eval_images = nullptr;
+            shard->ctx.eval_labels = nullptr;
+        }
         DeviceConfig dev = config.device;
         dev.systolic = stage_systolic_[k];
         dev.initial_age_years = config.device.initial_age_years +
                                 static_cast<double>(k) * config.initial_age_step_years;
         // The ShardState owns the context the device points at; both live
-        // behind a stable unique_ptr for the group's lifetime.
+        // behind a stable unique_ptr for the group's lifetime. A whole-
+        // model device carries no stage label (stage -1).
         shard->device = std::make_unique<NpuDevice>(
             config.first_device_id + static_cast<int>(k), shard->ctx, dev, requant_service,
-            telemetry_, config_.planner, static_cast<int>(k));
+            telemetry_, config_.planner, whole_model ? -1 : static_cast<int>(k));
         shards_.push_back(std::move(shard));
     }
 
-    channels_.reserve(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-        channels_.push_back(std::make_unique<BoundedChannel<ShardBatch>>(
-            std::max<std::size_t>(1, config.handoff_capacity)));
     start_stages();
 
     window_batches_.assign(shards_.size(), 0);
@@ -151,128 +151,132 @@ ShardGroup::ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupCo
 ShardGroup::~ShardGroup() { drain(); }
 
 void ShardGroup::start_stages() {
-    stage_threads_.reserve(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k)
+    channels_.clear();
+    for (std::size_t k = 1; k < shards_.size(); ++k)
+        channels_.push_back(std::make_unique<BoundedChannel<ShardBatch>>(
+            std::max<std::size_t>(1, config_.handoff_capacity)));
+    stage_threads_.reserve(channels_.size());
+    for (std::size_t k = 1; k < shards_.size(); ++k)
         stage_threads_.emplace_back([this, k] { stage_loop(k); });
 }
 
-void ShardGroup::serve(std::vector<InferenceRequest>& batch) {
-    if (batch.empty()) return;
-    ShardBatch sb;
-    sb.activations = stack_batch(batch);  // may throw; batch stays intact
-    sb.requests = std::move(batch);
-    // Close the Batch span (worker pop → pipeline admission) before the
-    // push moves the requests into the channel; the first stage's pop
-    // then opens the Handoff span.
-    for (InferenceRequest& request : sb.requests)
-        if (request.trace) request.trace->mark(obs::SpanKind::Batch, obs::monotonic_us());
-    // The swap mutex pends admission while a re-cut drains and remaps
-    // the pipeline: a push always lands in the current cut's channel.
-    common::MutexLock lock(swap_mutex_);
-    if (!channels_.front()->push(std::move(sb))) {
-        lock.unlock();
-        // A failed push leaves sb untouched: hand the requests (and
-        // their promises) back to the caller before failing, so nothing
-        // dies as a broken promise.
-        batch = std::move(sb.requests);
-        throw std::runtime_error("ShardGroup: serve after drain");
+void ShardGroup::serve(std::vector<InferenceRequest>& requests) {
+    if (requests.empty()) return;
+    ShardBatch batch;
+    batch.requests = std::move(requests);
+    try {
+        batch.activations = stack_batch(batch.requests);
+    } catch (...) {
+        fail_batch(batch.requests, std::current_exception());
+        return;
     }
+    // Batch span: worker pop → stacked and ready to execute.
+    for (InferenceRequest& request : batch.requests)
+        if (request.trace) request.trace->mark(obs::SpanKind::Batch, obs::monotonic_us());
+    // The swap mutex keeps stage 0 off the devices while a re-cut
+    // drains and remaps the pipeline.
+    const common::MutexLock lock(swap_mutex_);
+    run_stage(0, batch);
 }
 
 void ShardGroup::stage_loop(std::size_t k) {
-    NpuDevice& device = *shards_[k]->device;
-    const bool last = k + 1 == shards_.size();
     ShardBatch batch;
-    while (channels_[k]->pop(batch)) {
-        try {
-            bool any_trace = false;
-            for (const InferenceRequest& request : batch.requests)
-                any_trace |= request.trace != nullptr;
-            if (any_trace) {
-                // Handoff span: time spent in this stage's channel (and,
-                // for k > 0, since the previous stage finished).
-                const std::int64_t now = obs::monotonic_us();
-                for (InferenceRequest& request : batch.requests)
-                    if (request.trace) request.trace->mark(obs::SpanKind::Handoff, now);
-            }
-            const int n = batch.activations.shape().n;
-            NpuDevice::BatchTrace trace;
-            tensor::Tensor out =
-                device.execute_batch(batch.activations.batch_view(0, n), &trace);
-            batch.latency_cycles += trace.cycles;
-            batch.latency_us += trace.latency_us;
-            batch.min_generation = std::min(batch.min_generation, trace.generation);
-            if (any_trace) {
-                const std::int64_t now = obs::monotonic_us();
-                for (InferenceRequest& request : batch.requests)
-                    if (request.trace)
-                        request.trace->mark(obs::SpanKind::Execute, now, device.id(),
-                                            static_cast<int>(k), trace.generation);
-            }
-            if (!last) {
-                batch.activations = std::move(out);
-                // Cannot fail: channel k+1 is closed only by this stage
-                // itself, after this loop exits.
-                channels_[k + 1]->push(std::move(batch));
-            } else {
-                // The whole batch ran inside one partition era (a re-cut
-                // drains every in-flight batch before remapping), so one
-                // load here labels every rider correctly.
-                const std::uint64_t partition =
-                    partition_generation_.load(std::memory_order_acquire);
-                // Count completion BEFORE fulfilling the promises: a
-                // client that has observed its result then always finds
-                // these counters covering it on the next scrape.
-                if (completed_)
-                    completed_->fetch_add(batch.requests.size(), std::memory_order_relaxed);
-                if (telemetry_) {
-                    std::size_t per_class[kNumRequestClasses] = {};
-                    for (const InferenceRequest& request : batch.requests)
-                        ++per_class[static_cast<std::size_t>(request.klass)];
-                    for (std::size_t c = 0; c < kNumRequestClasses; ++c)
-                        if (per_class[c] > 0) metrics_.completed[c]->add(per_class[c]);
-                }
-                for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-                    InferenceResult result =
-                        make_result(batch.requests[i].id, out, static_cast<int>(i));
-                    result.klass = batch.requests[i].klass;
-                    result.device_id = group_id_;
-                    result.generation = batch.min_generation;
-                    result.partition = partition;
-                    result.latency_cycles = batch.latency_cycles;
-                    result.latency_us = batch.latency_us;
-                    batch.requests[i].resolve(std::move(result));
-                }
-                if (any_trace && telemetry_) {
-                    const std::int64_t now = obs::monotonic_us();
-                    for (InferenceRequest& request : batch.requests)
-                        if (request.trace) {
-                            request.trace->mark(obs::SpanKind::Complete, now);
-                            telemetry_->traces().finish(std::move(request.trace));
-                        }
-                }
-            }
-        } catch (...) {
-            // A malformed batch (e.g. an image whose shape the engine
-            // rejects) fails its own requests, not the stage thread —
-            // the same contract worker_loop enforces on the replicated
-            // path. A batch already forwarded downstream has no
-            // requests left here.
-            fail_batch(batch.requests, std::current_exception());
-        }
-        // Boundary maintenance after the handoff: the downstream stage
-        // already works on this batch while this shard adopts/builds.
-        try {
-            device.requant_boundary();
-        } catch (...) {
-            // An inline build that throws (the batch is already
-            // resolved) must not kill the stage thread: the shard keeps
-            // serving its current deployment and retries at the next
-            // boundary.
-        }
+    while (channels_[k - 1]->pop(batch)) {
+        // Handoff span: time in this stage's channel since the previous
+        // stage finished.
+        for (InferenceRequest& request : batch.requests)
+            if (request.trace) request.trace->mark(obs::SpanKind::Handoff, obs::monotonic_us());
+        run_stage(k, batch);
     }
     // This stage is drained; cascade the close so the next one drains.
-    if (!last) channels_[k + 1]->close();
+    if (k < channels_.size()) channels_[k]->close();
+}
+
+void ShardGroup::run_stage(std::size_t k, ShardBatch& batch) {
+    NpuDevice& device = *shards_[k]->device;
+    try {
+        const int n = batch.activations.shape().n;
+        NpuDevice::BatchTrace trace;
+        tensor::Tensor out = device.execute_batch(batch.activations.batch_view(0, n),
+                                                  batch.requests, &trace);
+        batch.latency_cycles += trace.cycles;
+        batch.latency_us += trace.latency_us;
+        batch.min_generation = std::min(batch.min_generation, trace.generation);
+        bool any_trace = false;
+        for (const InferenceRequest& request : batch.requests)
+            any_trace |= request.trace != nullptr;
+        if (any_trace) {
+            const std::int64_t now = obs::monotonic_us();
+            for (InferenceRequest& request : batch.requests)
+                if (request.trace)
+                    request.trace->mark(obs::SpanKind::Execute, now, device.id(),
+                                        device.stage(), trace.generation);
+        }
+        if (k + 1 == shards_.size()) {
+            complete(batch, out);
+        } else {
+            batch.activations = std::move(out);
+            // Fails only for stage 0 after drain(): channel k+1 is
+            // closed by stage k itself, after its loop exits. A failed
+            // push leaves the batch (and its promises) intact.
+            if (!channels_[k]->push(std::move(batch)))
+                throw std::runtime_error("ShardGroup: serve after drain");
+        }
+    } catch (...) {
+        // A malformed batch (e.g. an image whose shape the engine
+        // rejects) fails its own requests, not the serving thread. A
+        // batch already forwarded downstream has no requests left here.
+        fail_batch(batch.requests, std::current_exception());
+    }
+    // Boundary maintenance after the handoff: the downstream stage
+    // already works on this batch while this shard adopts/builds.
+    try {
+        device.requant_boundary();
+    } catch (...) {
+        // A synchronous build that throws (the batch is already
+        // resolved) must not kill the serving thread: the shard keeps
+        // serving its current deployment and retries at the next
+        // boundary.
+    }
+}
+
+void ShardGroup::complete(ShardBatch& batch, const tensor::Tensor& logits) {
+    // The whole batch ran inside one partition era (a re-cut drains
+    // every in-flight batch before remapping), so one load here labels
+    // every rider correctly.
+    const std::uint64_t partition = partition_generation_.load(std::memory_order_acquire);
+    // Count completion BEFORE fulfilling the promises: a client that has
+    // observed its result then always finds these counters covering it
+    // on the next scrape.
+    if (completed_) completed_->fetch_add(batch.requests.size(), std::memory_order_relaxed);
+    if (telemetry_) {
+        std::size_t per_class[kNumRequestClasses] = {};
+        for (const InferenceRequest& request : batch.requests)
+            ++per_class[static_cast<std::size_t>(request.klass)];
+        for (std::size_t c = 0; c < kNumRequestClasses; ++c)
+            if (per_class[c] > 0) metrics_.completed[c]->add(per_class[c]);
+    }
+    bool any_trace = false;
+    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+        InferenceRequest& request = batch.requests[i];
+        InferenceResult result = make_result(request.id, logits, static_cast<int>(i));
+        result.klass = request.klass;
+        result.device_id = group_id_;
+        result.generation = batch.min_generation;
+        result.partition = partition;
+        result.latency_cycles = batch.latency_cycles;
+        result.latency_us = batch.latency_us;
+        request.resolve(std::move(result));
+        any_trace |= request.trace != nullptr;
+    }
+    if (any_trace && telemetry_) {
+        const std::int64_t now = obs::monotonic_us();
+        for (InferenceRequest& request : batch.requests)
+            if (request.trace) {
+                request.trace->mark(obs::SpanKind::Complete, now);
+                telemetry_->traces().finish(std::move(request.trace));
+            }
+    }
 }
 
 void ShardGroup::repartition_step() {
@@ -419,7 +423,8 @@ void ShardGroup::perform_recut(PreparedRecut prepared) {
     const common::MutexLock lock(swap_mutex_);
     if (drained_.load(std::memory_order_acquire)) return;
 
-    // Drain at a batch boundary: close stage 0, let the close cascade
+    // Drain at a batch boundary: stage 0 is idle (this thread holds the
+    // swap mutex), so close stage 1's channel, let the close cascade
     // stage to stage, and join. Every accepted batch completes on the
     // OLD cut — no batch ever straddles two partitions, so there are no
     // torn boundary tensors by construction.
@@ -442,11 +447,7 @@ void ShardGroup::perform_recut(PreparedRecut prepared) {
     }
 
     // Fresh channels (the old ones are closed and empty) and fresh stage
-    // threads; admission resumes when the mutex releases.
-    channels_.clear();
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-        channels_.push_back(std::make_unique<BoundedChannel<ShardBatch>>(
-            std::max<std::size_t>(1, config_.handoff_capacity)));
+    // threads; stage 0 resumes when the mutex releases.
     start_stages();
 
     partition_generation_.fetch_add(1, std::memory_order_acq_rel);
@@ -480,7 +481,7 @@ void ShardGroup::drain() {
     // restores a serving pipeline), so afterwards the channel/thread
     // vectors are stable and no new swap can start.
     if (monitor_) monitor_->stop();
-    channels_.front()->close();
+    if (!channels_.empty()) channels_.front()->close();
     for (std::thread& t : stage_threads_) t.join();
     stage_threads_.clear();
 }
@@ -519,15 +520,24 @@ double ShardGroup::sample_accuracy(const tensor::Tensor& images,
         chain.reserve(shards_.size());
         for (const auto& shard : shards_) chain.push_back(shard->device->deployed_graph());
     }
-    tensor::Tensor acts;
-    for (std::size_t k = 0; k < chain.size(); ++k)
-        acts = quant::run_quantized(*chain[k], k == 0 ? images.batch_view(0, samples)
-                                                      : acts.batch_view(0, samples));
-    const std::vector<int> predictions = ir::argmax_classes(acts);
+    // Evaluate in chunks through one runner per stage, so memory stays
+    // bounded by the chunk whatever `samples` is.
+    constexpr int kChunk = 100;
+    std::vector<std::unique_ptr<quant::QuantRunner>> runners;
+    runners.reserve(chain.size());
+    for (const auto& qgraph : chain)
+        runners.push_back(std::make_unique<quant::QuantRunner>(*qgraph, std::min(kChunk, samples)));
     int correct = 0;
-    for (int i = 0; i < samples; ++i)
-        correct += predictions[static_cast<std::size_t>(i)] ==
-                   labels[static_cast<std::size_t>(i)];
+    for (int start = 0; start < samples; start += kChunk) {
+        const int count = std::min(kChunk, samples - start);
+        tensor::Tensor acts = runners.front()->run(images.batch_view(start, count));
+        for (std::size_t k = 1; k < runners.size(); ++k)
+            acts = runners[k]->run(acts.batch_view(0, count));
+        const std::vector<int> predictions = ir::argmax_classes(acts);
+        for (int i = 0; i < count; ++i)
+            correct += predictions[static_cast<std::size_t>(i)] ==
+                       labels[static_cast<std::size_t>(start + i)];
+    }
     return static_cast<double>(correct) / static_cast<double>(samples);
 }
 

@@ -1,62 +1,67 @@
-// ShardGroup — cross-device model sharding (shard = sub-plan).
+// ShardGroup — the server's one serving unit: a pipeline of NpuDevices
+// over one model partition (shard = sub-plan).
 //
-// Instead of replicating the whole graph on every device, a ShardGroup
-// partitions the model into contiguous single-tensor-cut op ranges
-// (ir::partition_graph, balanced on systolic per-layer cycles), compiles
-// each partition into its own ExecPlan sub-plan (exec::compile_subplan —
+// A group with num_shards == 1 is one whole-model device: the replicated
+// layout, where every group carries the full graph. With num_shards > 1
+// the group partitions the model into contiguous single-tensor-cut op
+// ranges (ir::partition_graph, balanced on systolic per-layer cycles),
+// compiles each into its own ExecPlan sub-plan (exec::compile_subplan —
 // resolved through the PlanCache keyed by the partition's topology
-// fingerprint), and runs each shard on its own NpuDevice. The devices
-// form a pipeline: every shard has a stage thread and bounded handoff
-// queues carry the cut tensor (plus the riding requests) device to
-// device, so while shard 1 runs batch k, shard 0 already runs batch k+1
-// — throughput is bounded by the bottleneck shard, not the sum.
+// fingerprint), and runs each shard on its own NpuDevice. Either way the
+// serve path is the same: the server worker that checked the group out
+// stacks the batch and runs stage 0 itself; stages 1..N-1 each have a
+// stage thread fed by a bounded handoff channel that carries the cut
+// tensor (plus the riding requests) device to device, so while shard 1
+// runs batch k, shard 0 already runs batch k+1 — throughput is bounded
+// by the bottleneck shard, not the sum. The last stage — the worker
+// itself in a 1-shard group — fulfils the promises and counts
+// completion; it is the fleet's one completion site.
 //
 // Each shard versions its own core::ModelState: a shard device owns a
 // RequantJob over its sub-graph (with calibration statistics sliced onto
 // the shard's tensors), ages with its own busy time, re-derives its own
-// aged clock, and re-quantizes independently — inline or through the
-// shared background RequantService, exactly like a whole-model device.
-// Because every PTQ step the fast path performs is per-convolution-
-// local, a chain of shard deployments built at the same aging level is
-// bit-identical to the whole-model deployment (verified in
-// tests/test_shard.cpp, boundary tensors included).
+// aged clock, and re-quantizes independently through the shared
+// RequantService. Because every PTQ step the fast path performs is per-
+// convolution-local, a chain of shard deployments built at the same
+// aging level is bit-identical to the whole-model deployment (verified
+// in tests/test_shard.cpp, boundary tensors included).
 //
-// Online re-partitioning (RepartitionConfig.enabled): devices age at
-// different rates (deployed at different times, different utilization),
-// so a cut balanced at fresh silicon drifts away from the true pipeline
-// bottleneck once a re-quantization installs a slower clock on one
-// shard. A RepartitionMonitor thread watches the measured per-stage busy
-// time; when one window's max/min ratio crosses the configured
-// threshold, it prices every op per device (its systolic cycles × its
-// current aged clock period), computes a fresh heterogeneous
-// min-bottleneck cut (ir::partition_graph_heterogeneous), warm-compiles
-// the new sub-plans through the shared PlanCache — all off the serving
-// path — and then performs a drain-and-swap: admission pauses, the
-// handoff channels close-and-drain at a batch boundary (every in-flight
-// batch completes on the old cut; no batch ever straddles two cuts), the
-// devices are remapped onto the new sub-graphs/calibration slices
-// (NpuDevice::reshard — aging state and stats history carry over), fresh
-// channels and stage threads resume, and the group's partition
-// generation increments. Outputs are bit-identical before and after a
-// swap whenever the per-shard compressions are (re-cutting moves op
-// boundaries, not arithmetic).
+// Online re-partitioning (RepartitionConfig.enabled, num_shards > 1):
+// devices age at different rates (deployed at different times, different
+// utilization), so a cut balanced at fresh silicon drifts away from the
+// true pipeline bottleneck once a re-quantization installs a slower
+// clock on one shard. A RepartitionMonitor thread watches the measured
+// per-stage busy time; when one window's max/min ratio crosses the
+// configured threshold, it prices every op per device (its systolic
+// cycles × its current aged clock period), computes a fresh
+// heterogeneous min-bottleneck cut (ir::partition_graph_heterogeneous),
+// warm-compiles the new sub-plans through the shared PlanCache — all off
+// the serving path — and then performs a drain-and-swap: stage 0 pauses
+// (the swap mutex), the handoff channels close-and-drain at a batch
+// boundary (every in-flight batch completes on the old cut; no batch
+// ever straddles two cuts), the devices are remapped onto the new
+// sub-graphs/calibration slices (NpuDevice::reshard — aging state and
+// stats history carry over), fresh channels and stage threads resume,
+// and the group's partition generation increments. Outputs are
+// bit-identical before and after a swap whenever the per-shard
+// compressions are (re-cutting moves op boundaries, not arithmetic).
 //
 // Heterogeneous stages: per_shard_systolic gives each pipeline stage its
 // own array config; the initial cut then balances per-stage cycle
 // counts across the differing arrays, and re-cuts keep using each
 // stage's own model.
 //
-// Restrictions (validated at construction): fault injection is
-// per-request on a whole-model device and is not supported on a
-// pipeline; the full Algorithm 1 method search needs end-to-end eval and
-// shards re-quantize via the fast path.
+// Restrictions (validated at construction, num_shards > 1 only): fault
+// injection and the full Algorithm 1 method search need the whole model
+// on one device (per-request injection and end-to-end eval); shards
+// re-quantize via the fast path.
 //
 // Shutdown protocol (driven by NpuServer): after the serve workers have
 // joined, drain() stops the repartition monitor (waiting out an
-// in-flight re-cut), then closes the stage-0 queue — each stage drains
-// its queue and then closes the next, so every accepted batch completes
-// — and joins the stage threads; after the RequantService has drained,
-// finish_requants() lands every shard on its final generation.
+// in-flight re-cut), then closes the stage-1 channel — each stage drains
+// its channel and then closes the next, so every accepted batch
+// completes — and joins the stage threads; after the RequantService has
+// drained, finish_requants() lands every shard on its final generation.
 #pragma once
 
 #include <atomic>
@@ -86,7 +91,9 @@ struct ShardPartition {
 
 /// Cut `graph` into `num_shards` pipeline stages balanced on the
 /// systolic per-layer cycle model and compile each as a sub-plan at
-/// `batch_capacity` (through the global PlanCache).
+/// `batch_capacity` (through the global PlanCache). One stage is the
+/// whole model: its sub-plan aliases `graph` itself (no copy), which
+/// must then outlive the partition's users.
 [[nodiscard]] ShardPartition make_shard_partition(const ir::Graph& graph,
                                                   const npu::SystolicConfig& systolic,
                                                   int num_shards, int batch_capacity);
@@ -99,7 +106,7 @@ struct ShardPartition {
     int batch_capacity);
 
 struct ShardGroupConfig {
-    int num_shards = 2;
+    int num_shards = 2;  ///< 1 = one whole-model device
     /// Bounded inter-shard handoff queues, in batches: the pipeline
     /// depth per stage boundary (push blocks when full — backpressure
     /// reaches the server's request queue through the feeding worker).
@@ -119,9 +126,9 @@ struct ShardGroupConfig {
     /// Online re-partitioning (off by default): re-cut the pipeline when
     /// the measured stage busy-time imbalance crosses the ratio.
     RepartitionConfig repartition;
-    /// Optional precomputed partition (must match num_shards and the
-    /// context graph; needed only for the constructor's duration). Null:
-    /// the group partitions the model itself.
+    /// The model partition (required; must match num_shards and the
+    /// context graph; needed only for the constructor's duration). The
+    /// server computes it once and shares it across its groups.
     const ShardPartition* partition = nullptr;
     /// Optional telemetry bundle (owned by the server, must outlive the
     /// group): shard devices register per-stage metric series, stage
@@ -135,39 +142,45 @@ struct ShardGroupConfig {
     ReliabilityPlanner* planner = nullptr;
 };
 
-class ShardGroup : public ServeUnit {
+class ShardGroup {
 public:
-    /// `ctx` describes the WHOLE model; the group extracts per-shard
-    /// sub-graphs and sliced calibration internally (the pointed-to
-    /// objects must outlive the group). `completed` (optional) is
-    /// incremented by the final stage as promises are fulfilled.
+    /// `ctx` describes the WHOLE model; a multi-shard group slices the
+    /// calibration onto each shard's tensors internally, a 1-shard group
+    /// serves `ctx` itself (eval set included). The pointed-to objects
+    /// and `requant_service` must outlive the group. `completed`
+    /// (optional) is incremented by the final stage as promises are
+    /// fulfilled.
     ShardGroup(int group_id, const ServeContext& ctx, const ShardGroupConfig& config,
-               RequantService* requant_service = nullptr,
+               RequantService& requant_service,
                std::atomic<std::uint64_t>* completed = nullptr);
-    ~ShardGroup() override;
+    ~ShardGroup();
 
     ShardGroup(const ShardGroup&) = delete;
     ShardGroup& operator=(const ShardGroup&) = delete;
 
-    /// Enqueue one batch into the pipeline and return immediately (the
-    /// final stage fulfills the promises; InferenceResult.device_id
-    /// reports the group id, generation the minimum shard generation
+    /// Serve one batch: stack it and run stage 0 on the calling thread,
+    /// then either complete it (1 shard) or hand it to stage 1 and
+    /// return. The final stage fulfils the promises
+    /// (InferenceResult.device_id reports the group id — the device id
+    /// in a 1-shard group —, generation the minimum shard generation
     /// that served the batch, partition the partition generation it ran
-    /// under, latency the accumulated pipeline latency). Blocks while
-    /// the stage-0 handoff queue is full or a re-cut swap is in flight.
-    void serve(std::vector<InferenceRequest>& batch) override RAQ_EXCLUDES(swap_mutex_);
+    /// under, latency the accumulated pipeline latency). Never throws: a
+    /// batch that fails (a malformed request, an engine error) fails its
+    /// own futures. Called with exclusive ownership of the group (the
+    /// server's pool); blocks while the stage-1 channel is full or a
+    /// re-cut swap is in flight.
+    void serve(std::vector<InferenceRequest>& batch) RAQ_EXCLUDES(swap_mutex_);
 
-    /// Close admission into the pipeline, stop the repartition monitor,
-    /// drain every accepted batch and join the stage threads.
-    /// Idempotent. Must be called before the shared RequantService shuts
-    /// down (NpuServer orders this).
+    /// Stop the repartition monitor, drain every batch handed to stage
+    /// 1 and join the stage threads. Idempotent. Must be called after
+    /// the last serve() and before the shared RequantService shuts down
+    /// (NpuServer orders this).
     void drain();
 
     /// After the RequantService has drained: adopt pending generations
     /// and catch up absorbed crossings on every shard.
     void finish_requants();
 
-    [[nodiscard]] int group_id() const { return group_id_; }
     [[nodiscard]] int num_shards() const { return static_cast<int>(shards_.size()); }
     [[nodiscard]] const NpuDevice& shard(int k) const { return *shards_.at(static_cast<std::size_t>(k))->device; }
     [[nodiscard]] NpuDevice& shard(int k) { return *shards_.at(static_cast<std::size_t>(k))->device; }
@@ -215,8 +228,17 @@ private:
         std::unique_ptr<NpuDevice> device;
     };
 
+    /// Stage thread k >= 1: pop from its channel and run the stage.
     void stage_loop(std::size_t k);
     void start_stages();
+    /// Execute `batch` on shard k, then forward it to stage k+1 or
+    /// complete it; a throw fails the batch's futures. Then run shard
+    /// k's requant boundary. Called by the stage-0 caller (under the
+    /// swap mutex) or by stage thread k.
+    void run_stage(std::size_t k, ShardBatch& batch);
+    /// The one completion site: count, fulfil every promise from
+    /// `logits`, finish the sampled traces.
+    void complete(ShardBatch& batch, const tensor::Tensor& logits);
 
     /// Everything a drain-and-swap needs, prepared entirely off the
     /// serving path so the swap itself cannot fail: the new cut, its
@@ -241,8 +263,9 @@ private:
     std::atomic<std::uint64_t>* completed_;
     obs::Telemetry* telemetry_;  ///< null = telemetry disabled
 
-    /// Repartition-monitor instrument handles (all null without
-    /// telemetry), registered once at construction under group=<id>.
+    /// Repartition-monitor instrument handles (null without telemetry
+    /// or with one shard), registered once at construction under
+    /// group=<id>.
     struct MonitorMetrics {
         obs::Counter* checks = nullptr;
         obs::Counter* triggers = nullptr;
@@ -250,9 +273,9 @@ private:
         obs::Counter* recuts = nullptr;
         obs::Gauge* imbalance = nullptr;
         obs::Gauge* partition_generation = nullptr;
-        /// The server-wide per-class completion counters (same labeled
-        /// series the replicated path bumps); the pipeline's last stage
-        /// owns completion here. Indexed by RequestClass.
+        /// The server-wide per-class completion counters (null without
+        /// telemetry); the group's last stage owns completion. Indexed
+        /// by RequestClass.
         obs::Counter* completed[kNumRequestClasses] = {};
     };
     MonitorMetrics metrics_;
@@ -261,16 +284,18 @@ private:
     ShardGroupConfig config_;   ///< owned copy (partition pointer nulled)
     std::vector<npu::SystolicConfig> stage_systolic_;  ///< resolved, one per stage
     std::vector<std::unique_ptr<ShardState>> shards_;
-    /// Channel k feeds shard k (bounded, close-and-drain — the same
-    /// protocol as the Scheduler's lanes). Replaced wholesale by a
-    /// re-cut (old channels are closed and fully drained first).
+    /// Channel k-1 feeds stage k >= 1 (bounded, close-and-drain — the
+    /// same protocol as the Scheduler's lanes); empty in a 1-shard
+    /// group. Replaced wholesale by a re-cut (old channels are closed
+    /// and fully drained first).
     std::vector<std::unique_ptr<BoundedChannel<ShardBatch>>> channels_;
-    std::vector<std::thread> stage_threads_;
+    std::vector<std::thread> stage_threads_;  ///< stage threads 1..N-1
     std::atomic<bool> drained_{false};
 
-    /// Serializes admission (serve) against the drain-and-swap: a push
-    /// never lands in a closed-for-re-cut channel, and sample_accuracy
-    /// always reads one consistent chain of deployments. Deliberately
+    /// Serializes stage 0 (serve) against the drain-and-swap: stage 0
+    /// never runs on a device being remapped, a push never lands in a
+    /// closed-for-re-cut channel, and sample_accuracy always reads one
+    /// consistent chain of deployments. Deliberately
     /// guards no fields — `channels_`/`stage_threads_` are synchronized
     /// by close-and-join (stage_loop reads them lock-free), which is
     /// outside the analysis's vocabulary; the mutex is a pure

@@ -117,8 +117,9 @@ TEST_F(Selector, LifetimeSchedulerReproducesGuardband) {
     for (const auto& point : schedule) {
         ASSERT_TRUE(point.ours_feasible) << point.dvth_mv;
         EXPECT_LE(point.ours_normalized_delay, 1.0 + 1e-9) << point.dvth_mv;
-        if (point.dvth_mv > 0.0)
+        if (point.dvth_mv > 0.0) {
             EXPECT_GT(point.baseline_normalized_delay, 1.0) << point.dvth_mv;
+        }
     }
 }
 

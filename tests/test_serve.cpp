@@ -463,22 +463,84 @@ TEST_F(Serve, AgedClockTracksInstalledCompression) {
 }
 
 TEST_F(Serve, MalformedRequestFailsItsFutureWithoutKillingTheServer) {
-    serve::ServeConfig cfg;
-    cfg.num_devices = 1;
-    cfg.num_workers = 1;
-    cfg.max_batch = 1;  // the bad request fails alone, not a whole batch
-    serve::NpuServer server(context(), cfg);
+    // Clean and fault-injecting devices both stack the batch before
+    // executing it, so the malformed request is rejected either way.
+    for (const double flip_probability : {0.0, 0.02}) {
+        SCOPED_TRACE("flip_probability " + std::to_string(flip_probability));
+        serve::ServeConfig cfg;
+        cfg.num_devices = 1;
+        cfg.num_workers = 1;
+        cfg.max_batch = 1;  // the bad request fails alone, not a whole batch
+        cfg.device.flip_probability = flip_probability;
+        serve::NpuServer server(context(), cfg);
 
-    // A multi-sample tensor is not a valid single request: the batcher
-    // rejects it on the worker thread, which must fail this future (not
-    // call std::terminate) and keep the device serving.
+        // A multi-sample tensor is not a valid single request: the batcher
+        // rejects it on the worker thread, which must fail this future (not
+        // call std::terminate) and keep the device serving.
+        const tensor::Shape sample = graph_->input_shape();
+        auto bad = server.submit(tensor::Tensor({2, sample.c, sample.h, sample.w}));
+        EXPECT_THROW((void)bad.get(), std::invalid_argument);
+
+        auto good = server.submit(test_image(0));
+        EXPECT_GE(good.get().predicted_class, 0);
+        server.shutdown();
+        EXPECT_EQ(server.fleet_stats().completed, 1u);
+    }
+}
+
+TEST_F(Serve, CompletionIsCountedOnceInReplicatedAndShardedFleets) {
+    constexpr int kRequests = 40;
+    constexpr int kMalformed = kRequests / 2;
     const tensor::Shape sample = graph_->input_shape();
-    auto bad = server.submit(tensor::Tensor({2, sample.c, sample.h, sample.w}));
-    EXPECT_THROW((void)bad.get(), std::invalid_argument);
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE("num_shards " + std::to_string(shards));
+        serve::ServeConfig cfg;
+        cfg.num_devices = 2;
+        cfg.num_shards = shards;
+        cfg.num_workers = 2;
+        cfg.max_batch = 4;
+        cfg.telemetry.metrics = true;
+        serve::NpuServer server(context(), cfg);
 
-    auto good = server.submit(test_image(0));
-    EXPECT_GE(good.get().predicted_class, 0);
-    server.shutdown();
+        // device(i) enumerates the whole fleet in device-id order, shard
+        // devices included.
+        ASSERT_EQ(server.num_devices(), 2);
+        for (int i = 0; i < server.num_devices(); ++i) {
+            EXPECT_EQ(server.device(i).id(), i);
+            EXPECT_EQ(&server.device(i), &server.shard_group(i / shards).shard(i % shards));
+        }
+        EXPECT_THROW((void)server.device(2), std::out_of_range);
+
+        // Mixed classes, one malformed request (it fails its whole batch).
+        std::vector<std::future<serve::InferenceResult>> futures;
+        for (int i = 0; i < kRequests; ++i) {
+            const auto klass =
+                i % 3 == 0 ? serve::RequestClass::Batch : serve::RequestClass::Interactive;
+            futures.push_back(
+                i == kMalformed
+                    ? server.submit(tensor::Tensor({2, sample.c, sample.h, sample.w}), klass)
+                    : server.submit(test_image(i), klass));
+        }
+        std::uint64_t failed = 0;
+        for (auto& f : futures) {
+            try {
+                EXPECT_GE(f.get().partition, 1u);
+            } catch (const std::invalid_argument&) {
+                ++failed;
+            }
+        }
+        server.shutdown();
+
+        EXPECT_GE(failed, 1u);
+        const serve::FleetStats fleet = server.fleet_stats();
+        EXPECT_EQ(fleet.submitted, static_cast<std::uint64_t>(kRequests));
+        EXPECT_EQ(fleet.completed, fleet.submitted - failed);
+        EXPECT_EQ(server.telemetry()->metrics().counter_sum("raq_requests_completed_total"),
+                  fleet.completed);
+        ASSERT_EQ(fleet.devices.size(), 2u);
+        for (int i = 0; i < server.num_devices(); ++i)
+            EXPECT_EQ(fleet.devices[static_cast<std::size_t>(i)].device_id, i);
+    }
 }
 
 TEST(ServeStats, LatencyReservoirBoundedWithExactAggregates) {

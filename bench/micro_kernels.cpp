@@ -11,7 +11,6 @@
 #include "cell/library.hpp"
 #include "common/rng.hpp"
 #include "data/synthetic_dataset.hpp"
-#include "exec/kernels.hpp"
 #include "exec/kernels_simd.hpp"
 #include "ir/float_executor.hpp"
 #include "netlist/builders.hpp"
@@ -22,6 +21,7 @@
 #include "sim/event_sim.hpp"
 #include "sta/sta.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/tensor.hpp"
 
 namespace {
 
@@ -151,18 +151,25 @@ void BM_GemmU8Packed(benchmark::State& state, exec::kernels_simd::KernelTier tie
 }
 
 void BM_Im2colU8(benchmark::State& state) {
-    // conv2 of the mini networks: 32×32 input, 64 channels, 3×3, pad 1.
-    const tensor::Shape s{8, 64, 32, 32};
-    const std::size_t rows = 64 * 3 * 3;
-    const std::size_t cols = static_cast<std::size_t>(s.n) * 32 * 32;
+    // The 3×3, pad-1 convs the mini networks run: args are (plane side,
+    // channels, batch) — 16×16×8, 8×8×16 and 4×4×32, at the 100-image
+    // eval batch and at the serving batch of 1.
+    const int side = static_cast<int>(state.range(0));
+    const tensor::Shape s{static_cast<int>(state.range(2)), static_cast<int>(state.range(1)),
+                          side, side};
+    const std::size_t rows = static_cast<std::size_t>(s.c) * 3 * 3;
+    const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(side) *
+                             static_cast<std::size_t>(side);
     std::vector<std::uint8_t> qx(s.size());
     std::vector<std::uint8_t> columns(rows * cols);
+    std::vector<std::uint8_t> plane(tensor::im2col_plane_elems(s, 1));
     common::Rng rng(11);
     for (auto& v : qx) v = static_cast<std::uint8_t>(rng.next_u64());
     for (auto _ : state) {
-        exec::kernels::im2col_u8(qx.data(), s, 3, 3, 1, 1, columns.data(), 32, 32, true);
+        tensor::im2col_into(qx.data(), s, 3, 3, 1, 1, columns.data(), side, side, plane.data());
         benchmark::DoNotOptimize(columns.data());
     }
+    // Bytes written: the column matrix is what the kernel produces.
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
     state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
 }
@@ -201,7 +208,14 @@ const int kRegisterTierBenches = [] {
     return 0;
 }();
 
-BENCHMARK(BM_Im2colU8);
+BENCHMARK(BM_Im2colU8)
+    ->ArgNames({"side", "c", "n"})
+    ->Args({16, 8, 100})
+    ->Args({8, 16, 100})
+    ->Args({4, 32, 100})
+    ->Args({16, 8, 1})
+    ->Args({8, 16, 1})
+    ->Args({4, 32, 1});
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm)->Name("BM_FloatGemm/nn");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_at)->Name("BM_FloatGemm/at");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_bt)->Name("BM_FloatGemm/bt");

@@ -18,6 +18,7 @@
 // ExecPlans.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,6 +38,10 @@ struct MethodOutcome {
 struct MethodSearchResult {
     quant::Method selected = quant::Method::M5_AciqNoBias;
     double accuracy = 0.0;  ///< of the selected method
+    /// The graph the search quantized and evaluated for `selected`: what a
+    /// build deploys, so the winner is never quantized twice (LAPQ's clip
+    /// search alone is dozens of evaluation passes).
+    std::shared_ptr<const quant::QuantizedGraph> selected_graph;
     std::vector<MethodOutcome> all_methods;  ///< every evaluated method
 };
 

@@ -23,11 +23,13 @@ class ExecPlan;
 struct ConvScratch {
     // Float conv scratch.
     std::vector<float> columns;  ///< im2col matrix [kdim, cols]
+    std::vector<float> plane;    ///< im2col's zero-bordered input plane
     std::vector<float> product;  ///< GEMM result [out_c, cols] (batched runs)
 
     // Quantized conv scratch.
     std::vector<std::uint8_t> qx;          ///< quantized input activation codes
     std::vector<std::uint8_t> u8_columns;  ///< integer im2col matrix
+    std::vector<std::uint8_t> u8_plane;    ///< im2col's zero-bordered code plane
     std::vector<std::int32_t> colsum;      ///< per-column activation code sums
     std::vector<std::int16_t> packed;      ///< interleaved i16 column panel (packed GEMM)
     std::vector<std::int16_t> w16;         ///< widened weight matrix (packed GEMM)

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "exec/kernels.hpp"
 #include "tensor/gemm.hpp"
 
 namespace raq::exec {
@@ -10,6 +9,7 @@ namespace raq::exec {
 void FloatBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
     ExecContext::reserve(ctx.scratch.columns, plan.max_columns());
     ExecContext::reserve(ctx.scratch.product, plan.max_product_floats());
+    ExecContext::reserve(ctx.scratch.plane, plan.max_plane_elems());
 }
 
 void FloatBackend::conv(const ConvCall& call, ExecContext& ctx) {
@@ -21,8 +21,9 @@ void FloatBackend::conv(const ConvCall& call, ExecContext& ctx) {
     const std::size_t cols = static_cast<std::size_t>(s.n) * g.hw;
 
     ExecContext::reserve(scr.columns, g.kdim * cols);
-    kernels::im2col(call.in, s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
-                    scr.columns.data(), g.oh, g.ow, g.zero_columns);
+    ExecContext::reserve(scr.plane, g.plane_elems);
+    tensor::im2col_into(call.in, s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
+                        scr.columns.data(), g.oh, g.ow, scr.plane.data());
 
     const auto gemm_rows = [&](float* c, std::size_t oc_begin, std::size_t oc_end) {
         tensor::gemm(op.weights.data() + oc_begin * g.kdim, scr.columns.data(),

@@ -95,75 +95,4 @@ void concat(const std::vector<ConcatInput>& ins, const tensor::Shape& out_shape,
     }
 }
 
-namespace {
-
-template <typename T>
-void im2col_impl(const T* in, const tensor::Shape& s, int kh, int kw, int stride, int pad,
-                 T* columns, int oh, int ow, bool zero_first) {
-    const std::size_t rows = static_cast<std::size_t>(s.c) * static_cast<std::size_t>(kh) *
-                             static_cast<std::size_t>(kw);
-    const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(oh) *
-                             static_cast<std::size_t>(ow);
-    if (zero_first) std::memset(columns, 0, rows * cols * sizeof(T));
-    for (int n = 0; n < s.n; ++n)
-        for (int c = 0; c < s.c; ++c)
-            for (int ky = 0; ky < kh; ++ky)
-                for (int kx = 0; kx < kw; ++kx) {
-                    const std::size_t row =
-                        (static_cast<std::size_t>(c) * static_cast<std::size_t>(kh) +
-                         static_cast<std::size_t>(ky)) *
-                            static_cast<std::size_t>(kw) +
-                        static_cast<std::size_t>(kx);
-                    // The in-bounds ox values form one contiguous run:
-                    // ix = ox·stride − pad + kx ∈ [0, w) ⇔ ox ∈ [lo, hi).
-                    // Hoisting the bounds out of the inner loop turns the
-                    // stride-1 case into a straight memcpy per row and the
-                    // strided case into a branch-free gather — the same
-                    // elements are written either way.
-                    const int over = s.w + pad - kx;  // exclusive ix bound, ox domain
-                    const int ox_lo =
-                        std::min(ow, std::max(0, (pad - kx + stride - 1) / stride));
-                    const int ox_hi = std::max(
-                        ox_lo, std::min(ow, over > 0 ? (over + stride - 1) / stride : 0));
-                    if (ox_lo >= ox_hi) continue;
-                    for (int oy = 0; oy < oh; ++oy) {
-                        const int iy = oy * stride - pad + ky;
-                        if (iy < 0 || iy >= s.h) continue;
-                        const std::size_t col_base =
-                            (static_cast<std::size_t>(n) * static_cast<std::size_t>(oh) +
-                             static_cast<std::size_t>(oy)) *
-                            static_cast<std::size_t>(ow);
-                        T* dst = columns + row * cols + col_base;
-                        const std::size_t in_base =
-                            ((static_cast<std::size_t>(n) * static_cast<std::size_t>(s.c) +
-                              static_cast<std::size_t>(c)) *
-                                 static_cast<std::size_t>(s.h) +
-                             static_cast<std::size_t>(iy)) *
-                            static_cast<std::size_t>(s.w);
-                        const T* src = in + in_base;
-                        const int ix_lo = ox_lo * stride - pad + kx;  // ≥ 0 by ox_lo
-                        if (stride == 1) {
-                            std::memcpy(dst + ox_lo, src + ix_lo,
-                                        static_cast<std::size_t>(ox_hi - ox_lo) * sizeof(T));
-                        } else {
-                            int ix = ix_lo;
-                            for (int ox = ox_lo; ox < ox_hi; ++ox, ix += stride)
-                                dst[ox] = src[ix];
-                        }
-                    }
-                }
-}
-
-}  // namespace
-
-void im2col(const float* in, const tensor::Shape& s, int kh, int kw, int stride, int pad,
-            float* columns, int oh, int ow, bool zero_first) {
-    im2col_impl(in, s, kh, kw, stride, pad, columns, oh, ow, zero_first);
-}
-
-void im2col_u8(const std::uint8_t* qx, const tensor::Shape& s, int kh, int kw, int stride,
-               int pad, std::uint8_t* columns, int oh, int ow, bool zero_first) {
-    im2col_impl(qx, s, kh, kw, stride, pad, columns, oh, ow, zero_first);
-}
-
 }  // namespace raq::exec::kernels

@@ -206,7 +206,7 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
         g.hw = static_cast<std::size_t>(out.h) * static_cast<std::size_t>(out.w);
         g.cols_cap = static_cast<std::size_t>(options_.batch_capacity) * g.hw;
         g.in_floats_cap = in.size();
-        g.zero_columns = op.conv.pad > 0;
+        g.plane_elems = tensor::im2col_plane_elems(in, op.conv.pad);
         g.tile_cols = gemm_tile_cols(g.kdim, g.cols_cap);
         // Worst-case |acc| for unsigned 8-bit codes: kdim * 255 * 255.
         g.acc32_safe = g.kdim <= static_cast<std::size_t>(
@@ -221,6 +221,7 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
                      static_cast<std::size_t>(op.conv.out_c) * g.cols_cap);
         max_conv_in_floats_ = std::max(max_conv_in_floats_, g.in_floats_cap);
         max_cols_ = std::max(max_cols_, g.cols_cap);
+        max_plane_elems_ = std::max(max_plane_elems_, g.plane_elems);
     }
 }
 

@@ -14,9 +14,9 @@
 //  - arena buffer assignment: one flat float arena with best-fit reuse of
 //    regions whose tensors are dead (intermediates alias each other, so
 //    peak memory is the live-set maximum, not the tensor-count sum),
-//  - per-convolution geometry (output dims, im2col extents, whether the
-//    integer accumulator fits 32 bits, whether column buffers need
-//    pre-zeroing for padding).
+//  - per-convolution geometry (output dims, im2col extents, the size of
+//    the zero-bordered input plane im2col reads, whether the integer
+//    accumulator fits 32 bits).
 //
 // A plan is immutable after construction and can be shared by any number
 // of concurrent executions, each with its own ExecContext.
@@ -49,7 +49,7 @@ struct ConvGeom {
     std::size_t cols_cap = 0;  ///< batch_capacity * oh * ow (GEMM columns)
     std::size_t in_floats_cap = 0;  ///< input tensor size at capacity
     std::size_t tile_cols = 0; ///< column-tile length of the integer GEMM
-    bool zero_columns = false; ///< pad > 0: padded column slots must be zeroed
+    std::size_t plane_elems = 0;  ///< zero-bordered (h+2p)×(w+2p) input plane
     bool acc32_safe = false;   ///< kdim * 255 * 255 fits an int32 accumulator
 };
 
@@ -121,6 +121,8 @@ public:
     [[nodiscard]] std::size_t max_product_floats() const { return max_product_floats_; }
     [[nodiscard]] std::size_t max_conv_in_floats() const { return max_conv_in_floats_; }
     [[nodiscard]] std::size_t max_cols() const { return max_cols_; }
+    /// Largest ConvGeom::plane_elems (im2col's padded-plane scratch).
+    [[nodiscard]] std::size_t max_plane_elems() const { return max_plane_elems_; }
     /// Largest ConvGeom::tile_cols of any conv — accumulator tiles sized
     /// here once mean zero per-call sizing work in the hot loop.
     [[nodiscard]] std::size_t max_tile_cols() const { return max_tile_cols_; }
@@ -144,6 +146,7 @@ private:
     std::size_t max_product_floats_ = 0;
     std::size_t max_conv_in_floats_ = 0;
     std::size_t max_cols_ = 0;
+    std::size_t max_plane_elems_ = 0;
     std::size_t max_tile_cols_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "exec/kernels.hpp"
 #include "exec/kernels_simd.hpp"
 
 namespace raq::exec {
@@ -183,6 +182,7 @@ void QuantBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
     ConvScratch& scr = ctx.scratch;
     ExecContext::reserve(scr.qx, plan.max_conv_in_floats());
     ExecContext::reserve(scr.u8_columns, plan.max_columns());
+    ExecContext::reserve(scr.u8_plane, plan.max_plane_elems());
     ExecContext::reserve(scr.colsum, plan.max_cols());
     ExecContext::reserve(scr.acc64, plan.max_cols());
     // Sized for the SIMD row block up front, so the per-call reserve in
@@ -217,8 +217,9 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
             scr.qx[i] = static_cast<std::uint8_t>(qc.act.quantize(call.in[i])) & act_mask;
 
     ExecContext::reserve(scr.u8_columns, g.kdim * cols);
-    kernels::im2col_u8(scr.qx.data(), s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
-                       scr.u8_columns.data(), g.oh, g.ow, g.zero_columns);
+    ExecContext::reserve(scr.u8_plane, g.plane_elems);
+    tensor::im2col_into(scr.qx.data(), s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
+                        scr.u8_columns.data(), g.oh, g.ow, scr.u8_plane.data());
     const std::uint8_t* columns = scr.u8_columns.data();
 
     // Per-column activation code sums for the zero-point correction
@@ -235,9 +236,9 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
         }
     }
 
-    // With LSB padding the hardware product register holds p << (α+β); a
-    // flip of register bit 15/14 lands on bit 15−(α+β)/14−(α+β) of the
-    // unshifted product. Model by narrowing the injector's register view.
+    // With LSB padding the hardware accumulator holds acc << (α+β). The
+    // shift only scales the occupancy stats (epilogue_rows); the injector
+    // sees the unshifted product, as in the seed.
     const int shift = qgraph_->config().padding == common::Padding::Lsb
                           ? (8 - qc.act.bits) + (8 - qc.wq(0).bits)
                           : 0;

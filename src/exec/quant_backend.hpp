@@ -8,8 +8,11 @@
 //
 // LSB padding semantics (paper Eq. 5): the hardware multiplies shifted
 // operands (q_a·2^α)(q_w·2^β) and the result is shifted back in software.
-// Numerically an identity, but it moves the product's MSB — accounted for
-// by narrowing the injector's register view, exactly as the seed did.
+// Numerically an identity, so products and logits are computed unshifted.
+// The shift only scales the accumulator-occupancy stats into the hardware
+// register's domain. The injector's register view is not narrowed: it
+// flips the same top bits of the unshifted product (InjectionConfig::
+// product_bits) whatever the padding, exactly as the seed did.
 #pragma once
 
 #include <cstdint>

@@ -47,39 +47,13 @@ void im2col(const Tensor& in, int kh, int kw, int stride, int pad,
     const Shape& s = in.shape();
     out_h = conv_out_dim(s.h, kh, stride, pad);
     out_w = conv_out_dim(s.w, kw, stride, pad);
-    const std::size_t rows = static_cast<std::size_t>(s.c) * static_cast<std::size_t>(kh) *
-                             static_cast<std::size_t>(kw);
-    const std::size_t cols = static_cast<std::size_t>(s.n) *
-                             static_cast<std::size_t>(out_h) *
-                             static_cast<std::size_t>(out_w);
-    columns.assign(rows * cols, 0.0f);
-    for (int n = 0; n < s.n; ++n) {
-        for (int c = 0; c < s.c; ++c) {
-            for (int ky = 0; ky < kh; ++ky) {
-                for (int kx = 0; kx < kw; ++kx) {
-                    const std::size_t row =
-                        (static_cast<std::size_t>(c) * static_cast<std::size_t>(kh) +
-                         static_cast<std::size_t>(ky)) *
-                            static_cast<std::size_t>(kw) +
-                        static_cast<std::size_t>(kx);
-                    for (int oy = 0; oy < out_h; ++oy) {
-                        const int iy = oy * stride - pad + ky;
-                        if (iy < 0 || iy >= s.h) continue;
-                        const std::size_t col_base =
-                            (static_cast<std::size_t>(n) * static_cast<std::size_t>(out_h) +
-                             static_cast<std::size_t>(oy)) *
-                            static_cast<std::size_t>(out_w);
-                        for (int ox = 0; ox < out_w; ++ox) {
-                            const int ix = ox * stride - pad + kx;
-                            if (ix < 0 || ix >= s.w) continue;
-                            columns[row * cols + col_base + static_cast<std::size_t>(ox)] =
-                                in.at(n, c, iy, ix);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // The kernel writes every slot, so growing without a zero fill is enough.
+    columns.resize(static_cast<std::size_t>(s.c) * static_cast<std::size_t>(kh) *
+                   static_cast<std::size_t>(kw) * static_cast<std::size_t>(s.n) *
+                   static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w));
+    std::vector<float> plane(im2col_plane_elems(s, pad));
+    im2col_into(in.data(), s, kh, kw, stride, pad, columns.data(), out_h, out_w,
+                plane.data());
 }
 
 void col2im(const std::vector<float>& columns, const Shape& in_shape, int kh, int kw,

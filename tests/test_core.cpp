@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "aging/aging_model.hpp"
 #include "cell/library.hpp"
 #include "core/aging_aware_quantizer.hpp"
@@ -10,6 +12,7 @@
 #include "netlist/builders.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
+#include "quant/methods.hpp"
 
 namespace {
 
@@ -181,29 +184,73 @@ TEST(AlgorithmOne, EndToEndOnTrainedModel) {
     EXPECT_THROW(quantizer.run(incomplete, 10.0), std::invalid_argument);
 }
 
-TEST(RequantJobTest, BuildsVersionedStatesMatchingAlgorithmOne) {
-    const netlist::Netlist mac = netlist::build_mac_circuit();
-    const cell::Library lib = cell::Library::finfet14();
-    const core::CompressionSelector selector(mac, lib);
+/// A trained alexnet-mini with its calibration and eval sets, shared by
+/// the RequantJob tests (training dominates their run time).
+class RequantJobTest : public ::testing::Test {
+protected:
+    struct Shared {
+        netlist::Netlist mac = netlist::build_mac_circuit();
+        cell::Library lib = cell::Library::finfet14();
+        core::CompressionSelector selector{mac, lib};
+        data::SyntheticDataset ds{[] {
+            data::DatasetConfig dc;
+            dc.train_size = 600;
+            dc.test_size = 200;
+            return dc;
+        }()};
+        ir::Graph graph = [this] {
+            auto net = nn::make_network("alexnet-mini");
+            nn::TrainConfig tcfg;
+            tcfg.epochs = 2;
+            nn::SgdTrainer trainer(tcfg);
+            trainer.fit(net, ds);
+            return net.export_ir();
+        }();
+        tensor::Tensor calib_images = ds.train_batch(0, 48);
+        std::vector<int> calib_labels{ds.train_labels().begin(),
+                                      ds.train_labels().begin() + 48};
+        quant::CalibrationData calib = quant::calibrate(graph, calib_images, calib_labels);
+        tensor::Tensor eval_images = ds.test_batch(0, 100);
+        std::vector<int> eval_labels{ds.test_labels().begin(),
+                                     ds.test_labels().begin() + 100};
+    };
+    static void SetUpTestSuite() { shared_ = new Shared(); }
+    static void TearDownTestSuite() {
+        delete shared_;
+        shared_ = nullptr;
+    }
+    static Shared* shared_;
+};
 
-    data::DatasetConfig dc;
-    dc.train_size = 600;
-    dc.test_size = 200;
-    const data::SyntheticDataset ds(dc);
-    auto net = nn::make_network("alexnet-mini");
-    nn::TrainConfig tcfg;
-    tcfg.epochs = 2;
-    nn::SgdTrainer trainer(tcfg);
-    trainer.fit(net, ds);
-    const auto graph = net.export_ir();
+RequantJobTest::Shared* RequantJobTest::shared_ = nullptr;
 
-    const auto calib_images = ds.train_batch(0, 48);
-    const std::vector<int> calib_labels(ds.train_labels().begin(),
-                                        ds.train_labels().begin() + 48);
-    const auto calib = quant::calibrate(graph, calib_images, calib_labels);
-    const auto eval_images = ds.test_batch(0, 100);
-    const std::vector<int> eval_labels(ds.test_labels().begin(),
-                                       ds.test_labels().begin() + 100);
+/// Same codes, quantizer parameters and biases in every conv.
+void expect_same_quantized_graph(const quant::QuantizedGraph& a,
+                                 const quant::QuantizedGraph& b) {
+    EXPECT_EQ(a.config().to_string(), b.config().to_string());
+    ASSERT_EQ(a.graph().ops().size(), b.graph().ops().size());
+    const auto same_params = [](const quant::QuantParams& x, const quant::QuantParams& y) {
+        return x.scale == y.scale && x.zero_point == y.zero_point && x.bits == y.bits;
+    };
+    for (std::size_t i = 0; i < a.graph().ops().size(); ++i) {
+        if (a.graph().ops()[i].kind != ir::OpKind::Conv2d) continue;
+        const quant::QConv& x = a.conv(i);
+        const quant::QConv& y = b.conv(i);
+        EXPECT_EQ(x.qweights, y.qweights) << "op " << i;
+        EXPECT_EQ(x.qbias, y.qbias) << "op " << i;
+        EXPECT_EQ(x.act_mask_bits, y.act_mask_bits) << "op " << i;
+        EXPECT_TRUE(same_params(x.act, y.act)) << "op " << i;
+        ASSERT_EQ(x.weight_q.size(), y.weight_q.size()) << "op " << i;
+        for (std::size_t k = 0; k < x.weight_q.size(); ++k)
+            EXPECT_TRUE(same_params(x.weight_q[k], y.weight_q[k])) << "op " << i;
+    }
+}
+
+TEST_F(RequantJobTest, BuildsVersionedStatesMatchingAlgorithmOne) {
+    const Shared& sh = *shared_;
+    const core::CompressionSelector& selector = sh.selector;
+    const ir::Graph& graph = sh.graph;
+    const quant::CalibrationData& calib = sh.calib;
 
     // Fast path: compression from the selector, M5, generation stamped.
     const core::RequantJob fast(graph, calib, selector, {});
@@ -230,28 +277,67 @@ TEST(RequantJobTest, BuildsVersionedStatesMatchingAlgorithmOne) {
     EXPECT_THROW(core::RequantJob(graph, calib, selector, full_cfg),
                  std::invalid_argument);
     const std::vector<int> short_labels(10, 0);
-    EXPECT_THROW(core::RequantJob(graph, calib, selector, full_cfg, &eval_images,
+    EXPECT_THROW(core::RequantJob(graph, calib, selector, full_cfg, &sh.eval_images,
                                   &short_labels),
                  std::invalid_argument);
 
     // Full path selects the same method Algorithm 1 (the one-shot
     // reporting entry point) selects at the same aging level: the
     // extracted search is the same code.
-    const core::RequantJob full(graph, calib, selector, full_cfg, &eval_images,
-                                &eval_labels);
+    const core::RequantJob full(graph, calib, selector, full_cfg, &sh.eval_images,
+                                &sh.eval_labels);
     const auto full_state = full.build(30.0, 3);
     ASSERT_TRUE(full_state.has_value());
 
     core::AagInputs in;
     in.graph = &graph;
-    in.test_images = &eval_images;
-    in.test_labels = &eval_labels;
-    in.calib_images = &calib_images;
-    in.calib_labels = &calib_labels;
+    in.test_images = &sh.eval_images;
+    in.test_labels = &sh.eval_labels;
+    in.calib_images = &sh.calib_images;
+    in.calib_labels = &sh.calib_labels;
     const core::AgingAwareQuantizer quantizer(selector);
     const auto reference = quantizer.run(in, 30.0);
     EXPECT_EQ(full_state->method, reference.selected_method);
     EXPECT_NEAR(full.fp32_accuracy(), reference.fp32_accuracy, 1e-12);
+}
+
+TEST_F(RequantJobTest, DeploysTheGraphTheSearchEvaluated) {
+    // A full build deploys the search's own quantization of the winner
+    // instead of quantizing it again; that graph must be exactly what
+    // quantize_graph(selected) produces, at every aging level (each level
+    // a different compression, so different winners are likely).
+    const Shared& sh = *shared_;
+    core::RequantJobConfig full_cfg;
+    full_cfg.full_algorithm1 = true;
+    const core::RequantJob full(sh.graph, sh.calib, sh.selector, full_cfg, &sh.eval_images,
+                                &sh.eval_labels);
+    for (const double dvth : {0.0, 20.0, 50.0}) {
+        const auto state = full.build(dvth, 1);
+        ASSERT_TRUE(state.has_value()) << dvth;
+        ASSERT_NE(state->qgraph, nullptr) << dvth;
+        const auto qconfig = quant::QuantConfig::from_compression(state->compression);
+        const quant::QuantizedGraph requantized =
+            quant::quantize_graph(sh.graph, state->method, qconfig, sh.calib);
+        expect_same_quantized_graph(*state->qgraph, requantized);
+    }
+
+    // The search result itself carries the selected method's graph, on
+    // the threshold (early-stop) path too.
+    const auto qconfig = quant::QuantConfig::from_compression(
+        sh.selector.select(30.0)->compression);
+    for (const std::optional<double> threshold :
+         {std::optional<double>{}, std::optional<double>{100.0}}) {
+        const core::MethodSearchResult search =
+            core::search_methods(sh.graph, qconfig, sh.calib, sh.eval_images, sh.eval_labels,
+                                 full.fp32_accuracy(), threshold);
+        ASSERT_NE(search.selected_graph, nullptr);
+        if (threshold) {
+            EXPECT_EQ(search.all_methods.size(), 1u);
+        }
+        expect_same_quantized_graph(
+            *search.selected_graph,
+            quant::quantize_graph(sh.graph, search.selected, qconfig, sh.calib));
+    }
 }
 
 }  // namespace

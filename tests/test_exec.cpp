@@ -9,6 +9,8 @@
 // the library no longer has to carry the duplicate.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
 
@@ -128,6 +130,49 @@ void expect_bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b,
     ASSERT_EQ(a.shape(), b.shape()) << what;
     for (std::size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a[i], b[i]) << what << " element " << i;
+}
+
+/// Per-element, bounds-checked im2col: the definition the kernel must meet.
+template <typename T>
+std::vector<T> naive_im2col(const std::vector<T>& in, const tensor::Shape& s, int k,
+                            int stride, int pad, int oh, int ow) {
+    const std::size_t cols = static_cast<std::size_t>(s.n * oh * ow);
+    std::vector<T> out(static_cast<std::size_t>(s.c * k * k) * cols);
+    for (int n = 0; n < s.n; ++n)
+        for (int c = 0; c < s.c; ++c)
+            for (int ky = 0; ky < k; ++ky)
+                for (int kx = 0; kx < k; ++kx)
+                    for (int oy = 0; oy < oh; ++oy)
+                        for (int ox = 0; ox < ow; ++ox) {
+                            const int iy = oy * stride - pad + ky;
+                            const int ix = ox * stride - pad + kx;
+                            const bool inside = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
+                            out[static_cast<std::size_t>((c * k + ky) * k + kx) * cols +
+                                static_cast<std::size_t>((n * oh + oy) * ow + ox)] =
+                                inside ? in[static_cast<std::size_t>(
+                                             ((n * s.c + c) * s.h + iy) * s.w + ix)]
+                                       : T{0};
+                        }
+    return out;
+}
+
+/// Runs the library kernel on a sentinel-filled destination and plane and
+/// compares its bytes with the naive reference (bytes, so a NaN sentinel
+/// left behind in a float slot is caught too).
+template <typename T>
+void expect_im2col_matches(const std::vector<T>& in, const tensor::Shape& s, int k,
+                           int stride, int pad, std::vector<T>& plane, T sentinel) {
+    const int oh = tensor::conv_out_dim(s.h, k, stride, pad);
+    const int ow = tensor::conv_out_dim(s.w, k, stride, pad);
+    const std::vector<T> expected = naive_im2col(in, s, k, stride, pad, oh, ow);
+    std::vector<T> columns(expected.size(), sentinel);
+    if (plane.size() < tensor::im2col_plane_elems(s, pad))
+        plane.resize(tensor::im2col_plane_elems(s, pad), sentinel);
+    tensor::im2col_into(in.data(), s, k, k, stride, pad, columns.data(), oh, ow,
+                        plane.data());
+    EXPECT_EQ(std::memcmp(columns.data(), expected.data(), expected.size() * sizeof(T)), 0)
+        << "n=" << s.n << " c=" << s.c << " h=" << s.h << " w=" << s.w << " k=" << k
+        << " stride=" << stride << " pad=" << pad << " bytes=" << sizeof(T);
 }
 
 // ----------------------------------------------------------------- tests
@@ -428,6 +473,59 @@ TEST(ExecSimd, KernelFamiliesMatchScalarOnOddShapes) {
                         << " j=" << j;
         }
     }
+}
+
+TEST(ExecKernels, Im2colMatchesNaiveReference) {
+    // Every slot of the column matrix is written (sentinel-filled first),
+    // with exactly the reference's elements, for the float and u8 kernels
+    // over non-square planes, the compile-time row widths (4/8/16) and
+    // the runtime ones, and planes no larger than the kernel. Inputs are
+    // never zero, so a zero in the columns can only be padding.
+    std::mt19937 rng(97);
+    const struct {
+        int h, w;
+    } planes[] = {{2, 3}, {3, 2}, {5, 16}, {9, 8}, {16, 7}, {4, 4}};
+    int checked = 0;
+    for (const int n : {1, 3})
+        for (const int c : {1, 5})
+            for (const auto& p : planes)
+                for (const int k : {1, 2, 3, 5})
+                    for (const int stride : {1, 2, 3})
+                        for (const int pad : {0, 1, 2}) {
+                            if (p.h + 2 * pad < k || p.w + 2 * pad < k) continue;
+                            const tensor::Shape s{n, c, p.h, p.w};
+                            std::vector<float> fin(s.size());
+                            std::vector<std::uint8_t> qin(s.size());
+                            for (std::size_t i = 0; i < s.size(); ++i) {
+                                qin[i] = static_cast<std::uint8_t>(1 + rng() % 255);
+                                fin[i] = static_cast<float>(qin[i]) * 0.25f - 32.5f;
+                            }
+                            std::vector<float> fplane;
+                            std::vector<std::uint8_t> qplane;
+                            expect_im2col_matches(fin, s, k, stride, pad, fplane,
+                                                  std::numeric_limits<float>::quiet_NaN());
+                            expect_im2col_matches(qin, s, k, stride, pad, qplane,
+                                                  std::uint8_t{0xAB});
+                            ++checked;
+                        }
+    EXPECT_EQ(checked, 780);
+
+    // Stale border: one scratch plane serves a pad-1 conv over a wide
+    // plane, then a pad-2 conv over a smaller one. The second conv's
+    // border overlaps the first's interior and must still read zero.
+    std::vector<std::uint8_t> shared_plane;
+    std::vector<float> shared_fplane;
+    const tensor::Shape first{2, 3, 9, 12};
+    const tensor::Shape second{2, 3, 5, 4};
+    const std::vector<std::uint8_t> first_in(first.size(), 0xFF);
+    const std::vector<std::uint8_t> second_in(second.size(), 0x11);
+    expect_im2col_matches(first_in, first, 3, 1, 1, shared_plane, std::uint8_t{0xAB});
+    expect_im2col_matches(second_in, second, 5, 1, 2, shared_plane, std::uint8_t{0xAB});
+    expect_im2col_matches(std::vector<float>(first.size(), 7.0f), first, 3, 1, 1,
+                          shared_fplane, std::numeric_limits<float>::quiet_NaN());
+    expect_im2col_matches(std::vector<float>(second.size(), -3.0f), second, 5, 1, 2,
+                          shared_fplane, std::numeric_limits<float>::quiet_NaN());
+    EXPECT_GE(shared_plane.size(), tensor::im2col_plane_elems(first, 1));
 }
 
 TEST(ExecThreading, LevelParallelRunsAreCountedAndBitIdentical) {

@@ -94,9 +94,15 @@ public:
     std::uint64_t next_geometric(double p) noexcept {
         if (p >= 1.0) return 0;
         if (p <= 0.0) return ~0ULL;
+        return next_geometric_log(std::log1p(-p));
+    }
+
+    /// next_geometric(p) for 0 < p < 1, given log1p(-p): the same draws
+    /// and bits, without recomputing the logarithm for every draw at one p.
+    std::uint64_t next_geometric_log(double log1p_neg_p) noexcept {
         double u = next_double();
         while (u <= 1e-300) u = next_double();
-        return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+        return static_cast<std::uint64_t>(std::log(u) / log1p_neg_p);
     }
 
 private:

@@ -16,6 +16,16 @@ namespace raq::exec {
 
 class ExecPlan;
 
+/// One injected bit flip of a quantized conv as an exact correction to
+/// one GEMM accumulator: the product in column `col` of the flipped
+/// channel changes by sign · 2^bit (`p ^ 1 << bit` minus `p`).
+struct FlipDelta {
+    std::uint32_t col;   ///< column within the conv's [out_c, cols] result
+    std::uint16_t bit;
+    std::int16_t sign;   ///< +1 when the flip sets the bit, −1 when it clears it
+    [[nodiscard]] std::int64_t delta() const { return sign * (std::int64_t{1} << bit); }
+};
+
 /// Workspace of one convolution invocation. The engine hands each conv a
 /// scratch set that no concurrently running op touches: the context's own
 /// set in serial execution, a lane-private one when a whole dependency
@@ -34,7 +44,15 @@ struct ConvScratch {
     std::vector<std::int16_t> packed;      ///< interleaved i16 column panel (packed GEMM)
     std::vector<std::int16_t> w16;         ///< widened weight matrix (packed GEMM)
     std::vector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
-    std::vector<std::int64_t> acc64;       ///< full-width accumulator (injection/overflow-safe)
+    std::vector<std::int64_t> acc64;       ///< full-width accumulator (overflow-safe path)
+    /// Injected flips of the current conv, bucketed by (output channel,
+    /// column tile): bucket b = oc·tiles + t holds
+    /// flip_deltas[flip_buckets[b], flip_buckets[b + 1]).
+    std::vector<FlipDelta> flip_walk;          ///< one channel's flips, walk order
+    std::vector<FlipDelta> flip_deltas;        ///< every flip, bucket order
+    std::vector<std::size_t> flip_buckets;     ///< out_c·tiles + 1 bucket offsets
+    std::vector<std::size_t> flip_cursor;      ///< per-tile scatter cursor
+    std::vector<std::int64_t> flip_row;        ///< one corrected accumulator row
     /// Lane-private accumulator tiles for channel-split execution of one
     /// conv; persist across convs and runs so pool mode also allocates
     /// nothing in steady state. Indexed by ThreadPool lane.

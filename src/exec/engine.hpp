@@ -8,8 +8,8 @@
 // disjoint output-channel ranges, or (b) fans the mutually independent
 // ops of one dependency level out over the pool; per-element arithmetic
 // and each op's reduction order are unchanged either way. Backends that
-// carry an ordered per-product hook (bit-flip injection) report
-// serial_only() and always run in exact schedule order.
+// carry an ordered stream (bit-flip injection draws its flips conv by
+// conv) report serial_only() and always run in exact schedule order.
 #pragma once
 
 #include <cstdint>

@@ -6,10 +6,10 @@
 // contract here: every tier computes the same integers, only faster.
 //
 // Tiers:
-//   Scalar  — portable reference loop; always available. The bit-flip
-//             injection path never reaches these kernels at all (it keeps
-//             the seed interpreter's per-product loop inside QuantBackend),
-//             so injection stays bit-identical to the seed by construction.
+//   Scalar  — portable reference loop; always available. Bit-flip
+//             injection runs on every tier too: QuantBackend adds each
+//             flip to the finished accumulators as an exact i64
+//             correction, so no kernel sees a flipped product.
 //   Sse41   — 128-bit x86: widen u8→i16, interleave k-pairs, pmaddwd.
 //   Avx2    — 256-bit x86: same pair-madd scheme on 16-column tiles.
 //   Neon    — 64/128-bit ARM: vmovl_u8 + vmlal_u16 widening multiply-add.
@@ -117,8 +117,10 @@ void widen_weights_u8(const std::uint8_t* w, std::size_t rows, std::size_t kdim,
 /// f64→f32 conversion is the same single rounding the scalar i64→f32 cast
 /// performs; the f32 multiply by `scale` matches element for element.
 /// Callers must keep the scalar loop when |qb| + 2^33 could reach 2^52
-/// (never true for real quantized biases, but guarded anyway) and for the
-/// stats/injection paths. Null for tiers without an implementation.
+/// (never true for real quantized biases, but guarded anyway), with stats
+/// attached, and for rows carrying injected-flip corrections (their i64
+/// accumulators may pass the acc32 bound). Null for tiers without an
+/// implementation.
 using EpilogueFn = void (*)(const std::int32_t* acc, const std::int32_t* colsum,
                             std::size_t n, std::int32_t zw, std::int64_t qb, float scale,
                             float* out);

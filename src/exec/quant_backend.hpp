@@ -2,9 +2,13 @@
 // executed through the planned engine. Numerics are bit-identical to the
 // seed quantized interpreter (integer accumulation is order-independent,
 // so the cache-tiled GEMM below reassociates freely without changing a
-// single output bit); the Fig. 1b bit-flip injection path preserves the
-// seed's exact per-product hook order, because the injector is a seeded
-// RNG stream whose draws must line up.
+// single output bit). Fig. 1b bit-flip injection rides the same GEMM:
+// the injector's draws depend only on the product count, so one block
+// walk over a conv's products, in the seed's linear order
+// (oc·kdim + k)·cols + j, yields every flip's position and bit; each
+// flip becomes the exact i64 correction (p ^ 1 << bit) − p to one
+// accumulator, added before the epilogue. Same integers as the seed's
+// per-product loop, at SIMD speed.
 //
 // LSB padding semantics (paper Eq. 5): the hardware multiplies shifted
 // operands (q_a·2^α)(q_w·2^β) and the result is shifted back in software.
@@ -43,10 +47,11 @@ public:
     void bind(const quant::QuantizedGraph& qgraph) { qgraph_ = &qgraph; }
     [[nodiscard]] const quant::QuantizedGraph& bound() const { return *qgraph_; }
 
-    /// Per-run fault hooks (injector invoked once per MAC product). Runs
-    /// with an injector or stats attached execute serially regardless of
-    /// any thread pool: the injector stream is ordered and the stats are
-    /// unsynchronized.
+    /// Per-run fault hooks. The injector consumes every MAC product of
+    /// each conv as one block walk (flips become sparse corrections on the
+    /// GEMM accumulators); runs with an injector or stats attached execute
+    /// serially regardless of any thread pool: the flip stream is drawn
+    /// conv by conv in schedule order and the stats are unsynchronized.
     void set_fault_hooks(inject::BitFlipInjector* injector, QuantExecStats* stats) {
         injector_ = injector;
         stats_ = stats;
@@ -67,8 +72,11 @@ public:
     }
     [[nodiscard]] kernels_simd::KernelTier kernel_tier() const { return tier_; }
 
-    /// The injector stream is ordered and the stats struct unsynchronized:
-    /// with either attached, the engine must keep exact schedule order.
+    /// The injector's flip stream is still drawn conv by conv in schedule
+    /// order (each conv's block walk continues where the previous conv's
+    /// ended), and the stats struct is unsynchronized: with either
+    /// attached, the engine must keep exact schedule order and no conv
+    /// splits its channels over the pool.
     [[nodiscard]] bool serial_only() const override {
         return injector_ != nullptr || stats_ != nullptr;
     }

@@ -2,8 +2,9 @@
 // planned execution engine (src/exec/): every convolution runs on the
 // unsigned-MAC datapath (q_a × q_w products accumulated in integers,
 // zero-point corrections applied afterwards, 16−α−β-bit biases), exactly
-// the computation the systolic array performs. The per-product hook is
-// where the Fig. 1b bit-flip injection happens.
+// the computation the systolic array performs. The Fig. 1b bit-flip
+// injection draws its flips over each conv's products in the seed's order
+// and applies them as exact corrections to the integer accumulators.
 //
 // QuantRunner is the reusable-state form: the Algorithm 1 inner loop and
 // the serving runtime compile the plan once and re-run it with zero
@@ -50,8 +51,8 @@ public:
     /// previous pin only after re-pointing at the new one).
     void rebind(std::shared_ptr<const QuantizedGraph> qgraph);
 
-    /// Run one batch; `injector` (optional) is invoked once per MAC
-    /// product, in the same order as the seed interpreter.
+    /// Run one batch; `injector` (optional) consumes every MAC product,
+    /// in the same order as the seed interpreter's per-product calls.
     [[nodiscard]] tensor::Tensor run(tensor::TensorView batch,
                                      inject::BitFlipInjector* injector = nullptr,
                                      QuantExecStats* stats = nullptr);

@@ -226,29 +226,91 @@ TEST(ExecQuant, PlannedMatchesSeedInterpreter) {
 }
 
 TEST(ExecQuant, InjectionStreamMatchesSeedInterpreter) {
-    const auto qgraph = quantize(branch_graph(), quant::Method::M4_Aciq, quant::QuantConfig{});
-    const tensor::Tensor batch = random_batch(2, 47);
-    inject::InjectionConfig cfg;
-    cfg.flip_probability = 5e-3;
-    cfg.seed = 99;
-
-    inject::BitFlipInjector ref_injector(cfg);
-    quant::QuantExecStats ref_stats;
-    const tensor::Tensor reference =
-        seedref::run_quantized(qgraph, batch, &ref_injector, &ref_stats);
-
-    inject::BitFlipInjector planned_injector(cfg);
-    quant::QuantExecStats planned_stats;
-    const tensor::Tensor planned =
-        quant::run_quantized(qgraph, batch, &planned_injector, &planned_stats);
-
-    // The injector is a seeded RNG stream: bit-identical logits prove the
-    // engine preserves the seed's exact per-product hook order.
-    expect_bitwise_equal(planned, reference, "injected");
-    EXPECT_GT(planned_injector.flips_injected(), 0u);
-    EXPECT_EQ(planned_injector.flips_injected(), ref_injector.flips_injected());
-    EXPECT_EQ(planned_stats.flips, ref_stats.flips);
-    EXPECT_EQ(planned_stats.mac_count, ref_stats.mac_count);
+    // Injected flips ride the tiered GEMM as sparse i64 corrections; the
+    // seed interpreter calls the injector once per product. Same seeded
+    // stream, so logits, flip counts and every stats field must agree —
+    // across rates (1.0 flips every product, pushing accumulators past
+    // the acc32 bound), LSB padding, masked activations, batch sizes,
+    // tiers, a thread pool, and one runner reused across all of them.
+    const auto lsb_cfg = quant::QuantConfig::from_compression({2, 3, common::Padding::Lsb});
+    const struct {
+        const char* name;
+        quant::Method method;
+        quant::QuantConfig config;
+        bool mask_first_conv;
+    } configs[] = {
+        {"M2", quant::Method::M2_MinMaxAsymmetric, quant::QuantConfig{}, false},
+        {"M5-lsb", quant::Method::M5_AciqNoBias, lsb_cfg, false},
+        {"M2-mask2", quant::Method::M2_MinMaxAsymmetric, quant::QuantConfig{}, true},
+    };
+    struct Injection {
+        double rate;
+        int product_bits;
+        int candidate_msbs;
+    };
+    const Injection injections[] = {{1e-5, 16, 2}, {1e-4, 16, 2}, {1e-3, 16, 2},
+                                    {1e-2, 16, 2}, {1.0, 16, 2},  {1e-2, 20, 3}};
+    const exec::kernels_simd::KernelTier tiers[] = {exec::kernels_simd::KernelTier::Scalar,
+                                                    exec::kernels_simd::active_tier()};
+    exec::ThreadPool pool(2);
+    std::uint64_t seed = 99;
+    std::uint64_t total_flips = 0;
+    for (const auto& graph : {chain_graph(), branch_graph()}) {
+        for (const auto& c : configs) {
+            auto qgraph = quantize(graph, c.method, c.config);
+            for (std::size_t op = 0; c.mask_first_conv && op < qgraph.graph().ops().size();
+                 ++op) {
+                if (qgraph.graph().ops()[op].kind != ir::OpKind::Conv2d) continue;
+                qgraph.conv(op).act_mask_bits = 2;
+                break;
+            }
+            for (const auto tier : tiers) {
+                for (exec::ThreadPool* runner_pool : {static_cast<exec::ThreadPool*>(nullptr),
+                                                      &pool}) {
+                    quant::QuantRunner runner(qgraph, 3, runner_pool);
+                    runner.set_kernel_tier(tier);
+                    for (const auto& inj : injections) {
+                        for (const int n : {1, 3}) {
+                            inject::InjectionConfig cfg;
+                            cfg.flip_probability = inj.rate;
+                            cfg.product_bits = inj.product_bits;
+                            cfg.candidate_msbs = inj.candidate_msbs;
+                            cfg.seed = ++seed;
+                            const tensor::Tensor batch =
+                                random_batch(n, 47 + static_cast<unsigned>(seed));
+                            inject::BitFlipInjector ref_injector(cfg), planned_injector(cfg);
+                            quant::QuantExecStats ref_stats, planned_stats;
+                            const tensor::Tensor reference = seedref::run_quantized(
+                                qgraph, batch, &ref_injector, &ref_stats);
+                            const tensor::Tensor planned =
+                                runner.run(batch, &planned_injector, &planned_stats);
+                            SCOPED_TRACE(::testing::Message()
+                                         << c.name << " tier="
+                                         << exec::kernels_simd::tier_name(tier)
+                                         << " pool=" << (runner_pool != nullptr)
+                                         << " rate=" << inj.rate
+                                         << " product_bits=" << inj.product_bits
+                                         << " n=" << n);
+                            expect_bitwise_equal(planned, reference, "injected");
+                            EXPECT_EQ(planned_injector.flips_injected(),
+                                      ref_injector.flips_injected());
+                            EXPECT_EQ(planned_stats.flips, ref_stats.flips);
+                            EXPECT_EQ(planned_stats.mac_count, ref_stats.mac_count);
+                            EXPECT_EQ(planned_stats.max_abs_accumulator,
+                                      ref_stats.max_abs_accumulator);
+                            EXPECT_EQ(planned_stats.accumulator_overflows,
+                                      ref_stats.accumulator_overflows);
+                            if (inj.rate >= 1e-3) {
+                                EXPECT_GT(planned_stats.flips, 0u);
+                            }
+                            total_flips += planned_stats.flips;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(total_flips, 0u);
 }
 
 TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "inject/bitflip.hpp"
 
 namespace {
@@ -80,6 +84,68 @@ TEST(BitFlip, ResetRestoresDeterminism) {
     for (int i = 0; i < 5000; ++i) {
         EXPECT_EQ(a.apply(1000), first[static_cast<std::size_t>(i)]);
         EXPECT_EQ(b.apply(1000), first[static_cast<std::size_t>(i)]);
+    }
+}
+
+TEST(BitFlip, BlockWalkMatchesPerProductApply) {
+    // walk(n) must report exactly the flips n apply() calls make (offset
+    // and bit) and leave the stream where they leave it.
+    using Flip = std::pair<std::uint64_t, int>;
+    const struct {
+        double p;
+        int product_bits;
+        int candidate_msbs;
+    } cases[] = {{0.0, 16, 2}, {1e-5, 16, 2}, {1e-2, 16, 2}, {1.0, 16, 2}, {1e-2, 20, 3}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE(::testing::Message() << "p=" << c.p << " bits=" << c.product_bits
+                                          << " msbs=" << c.candidate_msbs);
+        InjectionConfig cfg;
+        cfg.flip_probability = c.p;
+        cfg.product_bits = c.product_bits;
+        cfg.candidate_msbs = c.candidate_msbs;
+        cfg.seed = 2024;
+        BitFlipInjector walker(cfg), applier(cfg);
+        const auto expect_block = [&](std::uint64_t n) {
+            std::vector<Flip> walked, applied;
+            walker.walk(n, [&](std::uint64_t offset, int bit) {
+                walked.emplace_back(offset, bit);
+            });
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const auto out = static_cast<std::uint64_t>(applier.apply(0));
+                if (out != 0) applied.emplace_back(i, __builtin_ctzll(out));
+            }
+            EXPECT_EQ(walked, applied) << "block of " << n;
+            EXPECT_EQ(walker.flips_injected(), applier.flips_injected()) << "block of " << n;
+            for (const Flip& f : walked) {
+                EXPECT_LT(f.second, c.product_bits);
+                EXPECT_GE(f.second, c.product_bits - c.candidate_msbs);
+            }
+        };
+        // The length up to and including the next flip, read off a copy
+        // of the per-product stream (0 when none comes within the cap).
+        const auto to_next_flip = [&]() -> std::uint64_t {
+            BitFlipInjector probe = applier;
+            for (std::uint64_t i = 1; i <= 5'000'000; ++i)
+                if (probe.apply(0) != 0) return i;
+            return 0;
+        };
+        std::mt19937_64 rng(7);
+        expect_block(0);
+        expect_block(1);
+        expect_block(0);
+        for (int r = 0; r < 6; ++r) expect_block(rng() % 50'000);
+        for (int r = 0; r < 3; ++r) {
+            const std::uint64_t n = to_next_flip();
+            if (n == 0) break;
+            expect_block(n);  // ends exactly on a flip
+            expect_block(1);  // the product right after it
+        }
+        expect_block(300'000);
+        if (c.p > 0.0) {
+            EXPECT_GT(walker.flips_injected(), 0u);
+        }
+        // Both streams continue identically afterwards.
+        for (int i = 0; i < 20'000; ++i) ASSERT_EQ(walker.apply(1000), applier.apply(1000)) << i;
     }
 }
 

@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the library's hot kernels: STA
-// analysis, event-driven simulation, the integer-GEMM microkernel family
-// (every available SIMD dispatch tier, unpacked and packed), im2col,
+// analysis, event-driven simulation, the quantized conv's packed GEMM and
+// its pack-from-plane operand stage (every available SIMD dispatch tier),
 // float GEMM variants, and end-to-end float/quantized inference.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -115,63 +116,80 @@ void gemm_counters(benchmark::State& state) {
     state.SetBytesProcessed(state.iterations() * bytes);   // one full operand sweep
 }
 
-void BM_GemmU8Unpacked(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
-    static GemmU8Fixture fx;
-    const auto kernel = exec::kernels_simd::gemm_u8_kernel(tier);
-    for (auto _ : state) {
-        kernel(fx.w.data(), kGemmKdim, kGemmRows, fx.cols.data(), kGemmCols, kGemmKdim,
-               kGemmCols, fx.acc.data(), kGemmCols);
-        benchmark::DoNotOptimize(fx.acc.data());
-    }
-    gemm_counters(state);
-}
-
 void BM_GemmU8Packed(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
     static GemmU8Fixture fx;
     const auto pk = exec::kernels_simd::packed_kernels(tier);
-    if (pk.gemm == nullptr) {
-        state.SkipWithError("tier has no packed pipeline");
-        return;
-    }
     // Weights are widened once per conv call in QuantBackend (amortized
     // over every column tile), so the widening stays outside the loop;
     // the per-tile pack is what each iteration pays, so it stays inside.
-    const std::size_t wstride = kGemmKdim + (kGemmKdim & 1);
+    // The fixture's columns are a plain [kdim, cols] code matrix: row k
+    // at k·cols, column j at j, so every group is one contiguous run.
+    const std::size_t wstride = exec::kernels_simd::weight_stride(kGemmKdim);
     std::vector<std::int16_t> w16(kGemmRows * wstride);
-    exec::kernels_simd::widen_weights_u8(fx.w.data(), kGemmRows, kGemmKdim, w16.data());
+    for (std::size_t r = 0; r < kGemmRows; ++r)
+        exec::kernels_simd::widen_weights_u8(fx.w.data() + r * kGemmKdim, kGemmKdim, 128,
+                                             w16.data() + r * wstride);
+    std::vector<std::uint32_t> koff(kGemmKdim), off(kGemmCols);
+    for (std::size_t k = 0; k < kGemmKdim; ++k) koff[k] = static_cast<std::uint32_t>(k * kGemmCols);
+    for (std::size_t j = 0; j < kGemmCols; ++j) off[j] = static_cast<std::uint32_t>(j);
+    exec::kernels_simd::PlaneTile tile;
+    tile.codes = fx.cols.data();
+    tile.koff = koff.data();
+    tile.off = off.data();
+    tile.kdim = kGemmKdim;
+    tile.n = kGemmCols;
+    tile.run = 16;
     std::vector<std::int16_t> packed(
         exec::kernels_simd::packed_panel_elems(kGemmKdim, kGemmCols, pk.col_group));
     for (auto _ : state) {
-        pk.pack(fx.cols.data(), kGemmCols, kGemmKdim, kGemmCols, packed.data());
+        pk.pack(tile, packed.data());
         pk.gemm(w16.data(), wstride, kGemmRows, packed.data(), kGemmKdim, kGemmCols,
                 fx.acc.data(), kGemmCols);
         benchmark::DoNotOptimize(fx.acc.data());
+        benchmark::ClobberMemory();
     }
     gemm_counters(state);
 }
 
-void BM_Im2colU8(benchmark::State& state) {
-    // The 3×3, pad-1 convs the mini networks run: args are (plane side,
-    // channels, batch) — 16×16×8, 8×8×16 and 4×4×32, at the 100-image
-    // eval batch and at the serving batch of 1.
+void BM_PackPlaneU8(benchmark::State& state, exec::kernels_simd::KernelTier tier) {
+    // The quantized conv's operand stage for the 3×3, pad-1 convs the
+    // mini networks run: border the codes, compute the offsets, pack every
+    // column in 1024-column tiles. Args are (plane side, channels, batch)
+    // — 16×16×8, 8×8×16 and 4×4×32, at the 100-image eval batch and at
+    // the serving batch of 1.
+    namespace simd = exec::kernels_simd;
     const int side = static_cast<int>(state.range(0));
     const tensor::Shape s{static_cast<int>(state.range(2)), static_cast<int>(state.range(1)),
                           side, side};
-    const std::size_t rows = static_cast<std::size_t>(s.c) * 3 * 3;
+    const std::size_t kdim = static_cast<std::size_t>(s.c) * 3 * 3;
     const std::size_t cols = static_cast<std::size_t>(s.n) * static_cast<std::size_t>(side) *
                              static_cast<std::size_t>(side);
-    std::vector<std::uint8_t> qx(s.size());
-    std::vector<std::uint8_t> columns(rows * cols);
-    std::vector<std::uint8_t> plane(tensor::im2col_plane_elems(s, 1));
+    constexpr std::size_t kTile = 1024;
+    const simd::PackedKernels pk = simd::packed_kernels(tier);
+    std::vector<std::uint8_t> qx(s.size() + simd::kCodeSlack);
+    std::vector<std::uint8_t> bordered(simd::bordered_code_elems(s, 1) + simd::kCodeSlack);
+    std::vector<std::uint32_t> koff(kdim), off(cols);
+    std::vector<std::int16_t> packed(simd::packed_panel_elems(kdim, kTile, pk.col_group));
     common::Rng rng(11);
     for (auto& v : qx) v = static_cast<std::uint8_t>(rng.next_u64());
     for (auto _ : state) {
-        tensor::im2col_into(qx.data(), s, 3, 3, 1, 1, columns.data(), side, side, plane.data());
-        benchmark::DoNotOptimize(columns.data());
+        const simd::PlaneTile operand =
+            simd::conv_operand(simd::bordered_codes(qx.data(), s, 1, bordered.data()), s, 3,
+                               3, 1, 1, side, side, koff.data(), off.data());
+        for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
+            simd::PlaneTile t = operand;
+            t.off = operand.off + j0;
+            t.n = std::min(kTile, cols - j0);
+            pk.pack(t, packed.data());
+            benchmark::DoNotOptimize(packed.data());
+            benchmark::ClobberMemory();
+        }
     }
-    // Bytes written: the column matrix is what the kernel produces.
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
-    state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
+    // Bytes written: the i16 panels are what the stage produces.
+    const auto panel_bytes = static_cast<std::int64_t>(
+        simd::packed_panel_elems(kdim, cols, pk.col_group) * sizeof(std::int16_t));
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kdim * cols));
+    state.SetBytesProcessed(state.iterations() * panel_bytes);
 }
 
 template <void (*Gemm)(const float*, const float*, float*, std::size_t, std::size_t,
@@ -199,23 +217,20 @@ void BM_FloatGemm(benchmark::State& state) {
 const int kRegisterTierBenches = [] {
     for (const auto tier : exec::kernels_simd::available_tiers()) {
         const std::string name = exec::kernels_simd::tier_name(tier);
-        benchmark::RegisterBenchmark(("BM_GemmU8Unpacked/" + name).c_str(),
-                                     BM_GemmU8Unpacked, tier);
-        if (exec::kernels_simd::packed_kernels(tier).gemm != nullptr)
-            benchmark::RegisterBenchmark(("BM_GemmU8Packed/" + name).c_str(),
-                                         BM_GemmU8Packed, tier);
+        benchmark::RegisterBenchmark(("BM_GemmU8Packed/" + name).c_str(), BM_GemmU8Packed,
+                                     tier);
+        benchmark::RegisterBenchmark(("BM_PackPlaneU8/" + name).c_str(), BM_PackPlaneU8, tier)
+            ->ArgNames({"side", "c", "n"})
+            ->Args({16, 8, 100})
+            ->Args({8, 16, 100})
+            ->Args({4, 32, 100})
+            ->Args({16, 8, 1})
+            ->Args({8, 16, 1})
+            ->Args({4, 32, 1});
     }
     return 0;
 }();
 
-BENCHMARK(BM_Im2colU8)
-    ->ArgNames({"side", "c", "n"})
-    ->Args({16, 8, 100})
-    ->Args({8, 16, 100})
-    ->Args({4, 32, 100})
-    ->Args({16, 8, 1})
-    ->Args({8, 16, 1})
-    ->Args({4, 32, 1});
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm)->Name("BM_FloatGemm/nn");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_at)->Name("BM_FloatGemm/at");
 BENCHMARK_TEMPLATE(BM_FloatGemm, tensor::gemm_bt)->Name("BM_FloatGemm/bt");

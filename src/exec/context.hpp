@@ -38,11 +38,11 @@ struct ConvScratch {
 
     // Quantized conv scratch.
     std::vector<std::uint8_t> qx;          ///< quantized input activation codes
-    std::vector<std::uint8_t> u8_columns;  ///< integer im2col matrix
-    std::vector<std::uint8_t> u8_plane;    ///< im2col's zero-bordered code plane
-    std::vector<std::int32_t> colsum;      ///< per-column activation code sums
+    std::vector<std::uint8_t> codes;       ///< the codes with every plane zero-bordered
+    std::vector<std::uint32_t> koff;       ///< per reduction row: offset into the codes
+    std::vector<std::uint32_t> col_off;    ///< per GEMM column: offset into the codes
     std::vector<std::int16_t> packed;      ///< interleaved i16 column panel (packed GEMM)
-    std::vector<std::int16_t> w16;         ///< widened weight matrix (packed GEMM)
+    std::vector<std::int16_t> w16;         ///< widened weights, zero-point folded in
     std::vector<std::int32_t> acc32;       ///< narrow accumulator tile (fast path)
     std::vector<std::int64_t> acc64;       ///< full-width accumulator (overflow-safe path)
     /// Injected flips of the current conv, bucketed by (output channel,

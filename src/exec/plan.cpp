@@ -207,6 +207,9 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
         g.cols_cap = static_cast<std::size_t>(options_.batch_capacity) * g.hw;
         g.in_floats_cap = in.size();
         g.plane_elems = tensor::im2col_plane_elems(in, op.conv.pad);
+        if (op.conv.pad > 0)
+            g.codes_cap =
+                static_cast<std::size_t>(in.n) * static_cast<std::size_t>(in.c) * g.plane_elems;
         g.tile_cols = gemm_tile_cols(g.kdim, g.cols_cap);
         // Worst-case |acc| for unsigned 8-bit codes: kdim * 255 * 255.
         g.acc32_safe = g.kdim <= static_cast<std::size_t>(
@@ -222,6 +225,8 @@ ExecPlan::ExecPlan(std::shared_ptr<const ir::Graph> graph, PlanOptions options)
         max_conv_in_floats_ = std::max(max_conv_in_floats_, g.in_floats_cap);
         max_cols_ = std::max(max_cols_, g.cols_cap);
         max_plane_elems_ = std::max(max_plane_elems_, g.plane_elems);
+        max_codes_ = std::max(max_codes_, g.codes_cap);
+        max_kdim_ = std::max(max_kdim_, g.kdim);
     }
 }
 

@@ -15,7 +15,7 @@
 //    regions whose tensors are dead (intermediates alias each other, so
 //    peak memory is the live-set maximum, not the tensor-count sum),
 //  - per-convolution geometry (output dims, im2col extents, the size of
-//    the zero-bordered input plane im2col reads, whether the integer
+//    the zero-bordered input planes the convs read, whether the integer
 //    accumulator fits 32 bits).
 //
 // A plan is immutable after construction and can be shared by any number
@@ -50,6 +50,7 @@ struct ConvGeom {
     std::size_t in_floats_cap = 0;  ///< input tensor size at capacity
     std::size_t tile_cols = 0; ///< column-tile length of the integer GEMM
     std::size_t plane_elems = 0;  ///< zero-bordered (h+2p)×(w+2p) input plane
+    std::size_t codes_cap = 0; ///< bordered codes at capacity: n·in_c·plane_elems, 0 if pad 0
     bool acc32_safe = false;   ///< kdim * 255 * 255 fits an int32 accumulator
 };
 
@@ -116,13 +117,18 @@ public:
 
     /// Worst-case conv scratch requirements at capacity, for ExecContext
     /// pre-sizing (float path: im2col columns + GEMM product; quantized
-    /// path: activation codes + u8 columns + colsum/accumulators).
+    /// path: activation codes, the zero-bordered code tensor, offsets and
+    /// accumulators).
     [[nodiscard]] std::size_t max_columns() const { return max_columns_; }
     [[nodiscard]] std::size_t max_product_floats() const { return max_product_floats_; }
     [[nodiscard]] std::size_t max_conv_in_floats() const { return max_conv_in_floats_; }
     [[nodiscard]] std::size_t max_cols() const { return max_cols_; }
     /// Largest ConvGeom::plane_elems (im2col's padded-plane scratch).
     [[nodiscard]] std::size_t max_plane_elems() const { return max_plane_elems_; }
+    /// Largest ConvGeom::codes_cap (the quantized conv's bordered codes).
+    [[nodiscard]] std::size_t max_codes() const { return max_codes_; }
+    /// Largest ConvGeom::kdim.
+    [[nodiscard]] std::size_t max_kdim() const { return max_kdim_; }
     /// Largest ConvGeom::tile_cols of any conv — accumulator tiles sized
     /// here once mean zero per-call sizing work in the hot loop.
     [[nodiscard]] std::size_t max_tile_cols() const { return max_tile_cols_; }
@@ -147,6 +153,8 @@ private:
     std::size_t max_conv_in_floats_ = 0;
     std::size_t max_cols_ = 0;
     std::size_t max_plane_elems_ = 0;
+    std::size_t max_codes_ = 0;
+    std::size_t max_kdim_ = 0;
     std::size_t max_tile_cols_ = 0;
 };
 

@@ -11,58 +11,6 @@ namespace raq::exec {
 
 namespace {
 
-/// Shared zero-point/bias/stats epilogue: turn raw accumulators for
-/// columns [j0, j0 + jn) of channel `oc` into output activations in NCHW.
-/// With a vector epilogue kernel and no stats attached, the i32 fast path
-/// runs it over each contiguous NCHW segment — same bits, see EpilogueFn.
-template <typename AccT>
-void epilogue_rows(const quant::QConv& qc, std::size_t oc, const AccT* acc,
-                   const std::int32_t* colsum, std::size_t j0, std::size_t jn,
-                   std::size_t hw, std::size_t out_c, float* out, int shift,
-                   QuantExecStats* stats, kernels_simd::EpilogueFn epi = nullptr) {
-    const quant::QuantParams& wq = qc.wq(static_cast<int>(oc));
-    const float scale = qc.act.scale * wq.scale;
-    const std::int32_t zw = wq.zero_point;
-    const std::int64_t qb = qc.qbias[oc];
-    if constexpr (std::is_same_v<AccT, std::int32_t>) {
-        // |acc − zw·colsum| < 2^33 on the acc32-safe path, so the f64
-        // kernel is exact whenever |qb| stays below 2^52 − 2^33 (every
-        // real quantized bias; the guard keeps pathological graphs on the
-        // scalar loop rather than silently off-by-one).
-        constexpr std::int64_t kQbExactBound = (std::int64_t{1} << 52) - (std::int64_t{1} << 33);
-        if (epi != nullptr && stats == nullptr && qb < kQbExactBound && qb > -kQbExactBound) {
-            std::size_t j = 0;
-            while (j < jn) {
-                const std::size_t jj = j0 + j;
-                const std::size_t n = jj / hw;
-                const std::size_t pos = jj % hw;
-                const std::size_t seg = std::min(jn - j, hw - pos);
-                epi(acc + j, colsum + jj, seg, zw, qb, scale,
-                    out + (n * out_c + oc) * hw + pos);
-                j += seg;
-            }
-            return;
-        }
-    }
-    for (std::size_t j = 0; j < jn; ++j) {
-        const std::size_t jj = j0 + j;
-        const std::int64_t corrected = static_cast<std::int64_t>(acc[j]) -
-                                       static_cast<std::int64_t>(zw) * colsum[jj] + qb;
-        if (stats) {
-            // Accumulator occupancy in the shifted hardware domain
-            // (22-bit register of the paper's MAC). Shift the
-            // magnitude, not the signed value: same number, no UB.
-            const std::int64_t mag = (corrected < 0 ? -corrected : corrected) << shift;
-            stats->max_abs_accumulator = std::max(stats->max_abs_accumulator, mag);
-            if (mag >= (std::int64_t{1} << 22)) ++stats->accumulator_overflows;
-        }
-        // Map [oc, col] back to NCHW.
-        const std::size_t n = jj / hw;
-        const std::size_t pos = jj % hw;
-        out[(n * out_c + oc) * hw + pos] = static_cast<float>(corrected) * scale;
-    }
-}
-
 /// The injected flips of one conv as exact accumulator corrections,
 /// bucketed by (output channel, column tile) — see ConvScratch. Null
 /// `begin` ⇔ no injector attached.
@@ -77,12 +25,14 @@ struct FlipCorrections {
 /// Walk the injector over the conv's out_c·kdim·cols products in the
 /// seed's order — linear index (oc·kdim + k)·cols + j, zero-weight
 /// products included — and bucket each flip's correction
-/// (p ^ 1 << bit) − p by (oc, column tile). A per-row counting sort: the
-/// walk yields one channel's flips k-major, the GEMM consumes them
-/// tile by tile.
+/// (p ^ 1 << bit) − p by (oc, column tile). The product reads its
+/// activation code through the same offsets as the pack. A per-row
+/// counting sort: the walk yields one channel's flips k-major, the GEMM
+/// consumes them tile by tile.
 FlipCorrections bucket_flips(inject::BitFlipInjector& injector, const quant::QConv& qc,
-                             std::size_t kdim, const std::uint8_t* columns, std::size_t cols,
+                             const kernels_simd::PlaneTile& codes, std::size_t cols,
                              std::size_t out_c, std::size_t tile, ConvScratch& scr) {
+    const std::size_t kdim = codes.kdim;
     const std::size_t tiles = (cols + tile - 1) / tile;
     ExecContext::reserve(scr.flip_buckets, out_c * tiles + 1);
     ExecContext::reserve(scr.flip_cursor, tiles);
@@ -102,9 +52,9 @@ FlipCorrections bucket_flips(inject::BitFlipInjector& injector, const quant::QCo
         const std::uint8_t* wrow = qc.qweights.data() + oc * kdim;
         for (std::size_t k = 0; k < kdim; ++k) {
             const std::int64_t w = wrow[k];
-            const std::uint8_t* crow = columns + k * cols;
+            const std::uint8_t* row = codes.codes + codes.koff[k];
             injector.walk(cols, [&](std::uint64_t j, int bit) {
-                const std::int64_t p = w * crow[j];
+                const std::int64_t p = w * row[codes.off[j]];
                 scr.flip_walk.push_back({static_cast<std::uint32_t>(j),
                                          static_cast<std::uint16_t>(bit),
                                          static_cast<std::int16_t>((p >> bit) & 1 ? -1 : 1)});
@@ -126,23 +76,20 @@ FlipCorrections bucket_flips(inject::BitFlipInjector& injector, const quant::QCo
     return {scr.flip_buckets.data(), scr.flip_deltas.data(), tiles, tile, scr.flip_row.data()};
 }
 
-/// Everything one conv call's epilogue needs: turns raw accumulator rows
-/// into output activations in NCHW, shared by every GEMM path.
+/// Everything one conv call's epilogue needs: turns GEMM accumulator rows
+/// (acc − zw·colsum, the zero-point already folded into the weights) into
+/// output activations in NCHW.
 struct ConvEpilogue {
     const quant::QConv& qc;
-    const std::int32_t* colsum;
     std::size_t hw, out_c;
     float* out;
-    int shift;
-    QuantExecStats* stats;
-    kernels_simd::EpilogueFn vec;  ///< null ⇒ scalar loop
+    kernels_simd::EpilogueFn vec;
+    kernels_simd::EpilogueStats* stats;  ///< null ⇔ no stats attached
     FlipCorrections flips;
 
     /// Columns [j0, j0 + jn) of channel `oc`. A row with flips in this
-    /// tile is widened to i64 and corrected first, then takes the scalar
-    /// i64 epilogue (a corrected value may pass the acc32 bound, and the
-    /// stats see the corrected values); every other row keeps the vector
-    /// epilogue.
+    /// tile is widened to i64 and corrected first (a corrected value may
+    /// pass the acc32 bound, and the stats see the corrected values).
     template <typename AccT>
     void row(std::size_t oc, const AccT* acc, std::size_t j0, std::size_t jn) const {
         if (flips.begin != nullptr) {
@@ -151,103 +98,65 @@ struct ConvEpilogue {
                 std::copy(acc, acc + jn, flips.wide);
                 for (std::size_t i = flips.begin[b]; i < flips.begin[b + 1]; ++i)
                     flips.wide[flips.deltas[i].col - j0] += flips.deltas[i].delta();
-                epilogue_rows(qc, oc, flips.wide, colsum, j0, jn, hw, out_c, out, shift, stats);
+                finish(oc, flips.wide, j0, jn);
                 return;
             }
         }
-        epilogue_rows(qc, oc, acc, colsum, j0, jn, hw, out_c, out, shift, stats, vec);
+        finish(oc, acc, j0, jn);
+    }
+
+    /// Runs the epilogue over each contiguous NCHW segment of the row.
+    template <typename AccT>
+    void finish(std::size_t oc, const AccT* acc, std::size_t j0, std::size_t jn) const {
+        const quant::QuantParams& wq = qc.wq(static_cast<int>(oc));
+        const float scale = qc.act.scale * wq.scale;
+        const std::int32_t qb = qc.qbias[oc];
+        std::size_t n = j0 / hw;
+        std::size_t pos = j0 % hw;
+        for (std::size_t j = 0; j < jn; ++n, pos = 0) {
+            const std::size_t seg = std::min(jn - j, hw - pos);
+            float* dst = out + (n * out_c + oc) * hw + pos;
+            if constexpr (std::is_same_v<AccT, std::int32_t>)
+                vec(acc + j, seg, qb, scale, dst, stats);
+            else
+                kernels_simd::epilogue_i64(acc + j, seg, qb, scale, dst, stats);
+            j += seg;
+        }
     }
 };
 
-/// Tiled integer GEMM for output channels [oc_begin, oc_end) — the
-/// scalar reference datapath, kept verbatim from the seed-matching
-/// implementation. AccT is int32 when the plan proved the row sum cannot
-/// overflow (kdim * 255^2 bound), int64 otherwise; both produce the same
-/// exact integers, so the narrow fast path stays bit-identical. The tile
-/// length comes precomputed from the plan's ConvGeom.
+/// The one conv pipeline, for output channels [oc_begin, oc_end): per
+/// column tile, pack the GEMM operand straight from the bordered codes,
+/// sweep it with the packed GEMM in row blocks, and finish each row in the
+/// epilogue. AccT is int32 when the plan proved |acc| ≤ kdim·255² fits,
+/// int64 otherwise (the scalar reference pair); both produce the same
+/// exact integers. The tile length comes precomputed from the plan, a
+/// multiple of 16 whenever a conv has more than one tile, so every tile
+/// starts aligned to the operand's column runs.
 template <typename AccT>
-void conv_rows(const std::uint8_t* weights, std::size_t kdim, const std::uint8_t* columns,
-               std::size_t cols, const ConvEpilogue& epi, std::vector<AccT>& acc,
-               std::size_t tile, std::size_t oc_begin, std::size_t oc_end) {
-    ExecContext::reserve(acc, tile);
-    for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
-        const std::size_t jn = std::min(tile, cols - j0);
-        for (std::size_t oc = oc_begin; oc < oc_end; ++oc) {
-            const std::uint8_t* wrow = weights + oc * kdim;
-            std::fill(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(jn), AccT{0});
-            for (std::size_t k = 0; k < kdim; ++k) {
-                const std::int32_t w = wrow[k];
-                if (w == 0) continue;
-                const std::uint8_t* crow = columns + k * cols + j0;
-                for (std::size_t j = 0; j < jn; ++j)
-                    acc[j] += static_cast<AccT>(w * static_cast<std::int32_t>(crow[j]));
-            }
-            epi.row(oc, acc.data(), j0, jn);
-        }
-    }
-}
-
-/// SIMD fast path: the dispatch-selected microkernel computes the same
-/// exact i32 accumulators as conv_rows (integer adds reassociate freely),
-/// in kGemmU8RowBlock-channel register tiles; the shared epilogue then
-/// finishes them row by row.
-void conv_rows_simd(const std::uint8_t* weights, std::size_t kdim,
-                    const std::uint8_t* columns, std::size_t cols, const ConvEpilogue& epi,
-                    std::vector<std::int32_t>& acc, std::size_t tile,
-                    kernels_simd::GemmU8Fn kernel, std::size_t oc_begin, std::size_t oc_end) {
+void conv_rows(const kernels_simd::PlaneTile& codes, std::size_t cols, const std::int16_t* w16,
+               const ConvEpilogue& epi, kernels_simd::PackFn pack,
+               void (*gemm)(const std::int16_t*, std::size_t, std::size_t, const std::int16_t*,
+                            std::size_t, std::size_t, AccT*, std::size_t),
+               std::size_t col_group, std::vector<AccT>& acc,
+               std::vector<std::int16_t>& packed, std::size_t tile, std::size_t oc_begin,
+               std::size_t oc_end) {
     constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
-    ExecContext::reserve(acc, kMr * tile);
+    const std::size_t wstride = kernels_simd::weight_stride(codes.kdim);
+    const std::size_t acc_stride = kernels_simd::padded_cols(tile, col_group);
+    ExecContext::reserve(acc, kMr * acc_stride);
     for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
-        const std::size_t jn = std::min(tile, cols - j0);
+        kernels_simd::PlaneTile t = codes;
+        t.off = codes.off + j0;
+        t.n = std::min(tile, cols - j0);
+        ExecContext::reserve(packed, kernels_simd::packed_panel_elems(t.kdim, t.n, col_group));
+        pack(t, packed.data());
         for (std::size_t oc = oc_begin; oc < oc_end; oc += kMr) {
             const std::size_t mr = std::min(kMr, oc_end - oc);
-            kernel(weights + oc * kdim, kdim, mr, columns + j0, cols, kdim, jn, acc.data(),
-                   tile);
+            gemm(w16 + oc * wstride, wstride, mr, packed.data(), t.kdim, t.n, acc.data(),
+                 acc_stride);
             for (std::size_t r = 0; r < mr; ++r)
-                epi.row(oc + r, acc.data() + r * tile, j0, jn);
-        }
-    }
-}
-
-/// Packed SIMD pipeline (the preferred datapath on x86 tiers): widen and
-/// interleave each column tile once, then sweep it with the packed GEMM —
-/// the per-row-block re-prep that dominates conv_rows_simd on shallow
-/// convolutions disappears. Bit-identical by the same exact-integer
-/// argument; the (< col_group)-column tail of each tile runs the scalar
-/// reference against the raw tile.
-void conv_rows_packed(const std::uint8_t* weights, std::size_t kdim,
-                      const std::uint8_t* columns, const std::int16_t* w16, std::size_t cols,
-                      const ConvEpilogue& epi, std::vector<std::int32_t>& acc,
-                      std::vector<std::int16_t>& packed, std::size_t tile,
-                      const kernels_simd::PackedKernels& pk, std::size_t oc_begin,
-                      std::size_t oc_end) {
-    constexpr std::size_t kMr = kernels_simd::kGemmU8RowBlock;
-    const std::size_t wstride = kdim + (kdim & 1);
-    ExecContext::reserve(acc, kMr * tile);
-    for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
-        const std::size_t jn = std::min(tile, cols - j0);
-        const std::size_t jv = jn - jn % pk.col_group;  // full column groups
-        if (jv != 0) {
-            ExecContext::reserve(packed,
-                                 kernels_simd::packed_panel_elems(kdim, jv, pk.col_group));
-            pk.pack(columns + j0, cols, kdim, jv, packed.data());
-        }
-        for (std::size_t oc = oc_begin; oc < oc_end; oc += kMr) {
-            const std::size_t mr = std::min(kMr, oc_end - oc);
-            if (jv != 0)
-                pk.gemm(w16 + oc * wstride, wstride, mr, packed.data(), kdim, jv,
-                        acc.data(), tile);
-            for (std::size_t r = 0; r < mr; ++r) {
-                const std::uint8_t* wrow = weights + (oc + r) * kdim;
-                for (std::size_t j = jv; j < jn; ++j) {
-                    std::int32_t sum = 0;
-                    for (std::size_t k = 0; k < kdim; ++k)
-                        sum += static_cast<std::int32_t>(wrow[k]) *
-                               static_cast<std::int32_t>(columns[k * cols + j0 + j]);
-                    acc[r * tile + j] = sum;
-                }
-                epi.row(oc + r, acc.data() + r * tile, j0, jn);
-            }
+                epi.row(oc + r, acc.data() + r * acc_stride, j0, t.n);
         }
     }
 }
@@ -256,14 +165,16 @@ void conv_rows_packed(const std::uint8_t* weights, std::size_t kdim,
 
 void QuantBackend::prepare(const ExecPlan& plan, ExecContext& ctx) const {
     ConvScratch& scr = ctx.scratch;
-    ExecContext::reserve(scr.qx, plan.max_conv_in_floats());
-    ExecContext::reserve(scr.u8_columns, plan.max_columns());
-    ExecContext::reserve(scr.u8_plane, plan.max_plane_elems());
-    ExecContext::reserve(scr.colsum, plan.max_cols());
-    ExecContext::reserve(scr.acc64, plan.max_tile_cols());
-    // Sized for the SIMD row block up front, so the per-call reserve in
-    // the hot loop is a no-op comparison.
-    ExecContext::reserve(scr.acc32, kernels_simd::kGemmU8RowBlock * plan.max_tile_cols());
+    ExecContext::reserve(scr.qx, plan.max_conv_in_floats() + kernels_simd::kCodeSlack);
+    if (plan.max_codes() > 0)
+        ExecContext::reserve(scr.codes, plan.max_codes() + kernels_simd::kCodeSlack);
+    ExecContext::reserve(scr.koff, plan.max_kdim());
+    ExecContext::reserve(scr.col_off, plan.max_cols());
+    // Sized for the row block and whole column groups up front, so the
+    // per-call reserves in the hot loop are no-op comparisons.
+    const std::size_t acc_tile = kernels_simd::padded_cols(plan.max_tile_cols(), 16);
+    ExecContext::reserve(scr.acc64, kernels_simd::kGemmU8RowBlock * acc_tile);
+    ExecContext::reserve(scr.acc32, kernels_simd::kGemmU8RowBlock * acc_tile);
     ExecContext::reserve(scr.flip_row, plan.max_tile_cols());
 }
 
@@ -285,7 +196,7 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
     // QuantParams::quantize expression (hardware round-current-mode ==
     // nearbyint, IEEE division), so codes match the scalar loop bit for bit.
     const std::uint8_t act_mask = static_cast<std::uint8_t>(0xFFu << (qc.act_mask_bits & 7));
-    ExecContext::reserve(scr.qx, in_size);
+    ExecContext::reserve(scr.qx, in_size + kernels_simd::kCodeSlack);
     if (quantize_kernel_ != nullptr)
         quantize_kernel_(call.in, in_size, qc.act.scale, qc.act.zero_point, qc.act.qmax(),
                          act_mask, scr.qx.data());
@@ -293,75 +204,71 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
         for (std::size_t i = 0; i < in_size; ++i)
             scr.qx[i] = static_cast<std::uint8_t>(qc.act.quantize(call.in[i])) & act_mask;
 
-    ExecContext::reserve(scr.u8_columns, g.kdim * cols);
-    ExecContext::reserve(scr.u8_plane, g.plane_elems);
-    tensor::im2col_into(scr.qx.data(), s, op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad,
-                        scr.u8_columns.data(), g.oh, g.ow, scr.u8_plane.data());
-    const std::uint8_t* columns = scr.u8_columns.data();
-
-    // Per-column activation code sums for the zero-point correction
-    // (exact integer reduction — the vector kernel is bit-identical).
-    ExecContext::reserve(scr.colsum, cols);
-    if (colsum_kernel_ != nullptr) {
-        colsum_kernel_(columns, g.kdim, cols, scr.colsum.data());
-    } else {
-        std::fill(scr.colsum.begin(), scr.colsum.begin() + static_cast<std::ptrdiff_t>(cols),
-                  0);
-        for (std::size_t k = 0; k < g.kdim; ++k) {
-            const std::uint8_t* row = columns + k * cols;
-            for (std::size_t j = 0; j < cols; ++j) scr.colsum[j] += row[j];
-        }
-    }
+    // The zero-bordered code tensor, and where the GEMM operand's (k, j)
+    // code sits in it: codes[koff[k] + col_off[j]].
+    if (op.conv.pad > 0)
+        ExecContext::reserve(scr.codes, kernels_simd::bordered_code_elems(s, op.conv.pad) +
+                                            kernels_simd::kCodeSlack);
+    ExecContext::reserve(scr.koff, g.kdim);
+    ExecContext::reserve(scr.col_off, cols);
+    const kernels_simd::PlaneTile operand = kernels_simd::conv_operand(
+        kernels_simd::bordered_codes(scr.qx.data(), s, op.conv.pad, scr.codes.data()), s,
+        op.conv.kh, op.conv.kw, op.conv.stride, op.conv.pad, g.oh, g.ow, scr.koff.data(),
+        scr.col_off.data());
 
     // With LSB padding the hardware accumulator holds acc << (α+β). The
-    // shift only scales the occupancy stats (ConvEpilogue); the injector
-    // sees the unshifted product, as in the seed.
+    // shift only scales the occupancy stats; the injector sees the
+    // unshifted product, as in the seed.
     const int shift = qgraph_->config().padding == common::Padding::Lsb
                           ? (8 - qc.act.bits) + (8 - qc.wq(0).bits)
                           : 0;
+    kernels_simd::EpilogueStats conv_stats;
+    conv_stats.over_at = shift >= 22 ? 1 : std::int64_t{1} << (22 - shift);
     const std::size_t out_c = static_cast<std::size_t>(op.conv.out_c);
     const std::size_t tile = std::min(g.tile_cols, cols);
-    ConvEpilogue epi{qc, scr.colsum.data(), g.hw, out_c, call.out, shift, stats_,
-                     epilogue_kernel_, {}};
+    ConvEpilogue epi{qc,          g.hw, out_c, call.out, epilogue_kernel_,
+                     stats_ ? &conv_stats : nullptr, {}};
 
     // Fault injection: one walk of the injector over the conv's products
     // draws every flip in the seed's order; the flips then ride the
     // normal GEMM as sparse i64 corrections applied before the epilogue.
     if (injector_ != nullptr) {
-        epi.flips = bucket_flips(*injector_, qc, g.kdim, columns, cols, out_c, tile, scr);
+        epi.flips = bucket_flips(*injector_, qc, operand, cols, out_c, tile, scr);
         if (stats_) stats_->flips = injector_->flips_injected();
     }
     if (stats_) stats_->mac_count += g.kdim * cols * out_c;
 
-    // Tiled integer GEMM through the dispatch-selected kernel (SIMD needs
-    // the overflow-safe i32 bound the plan proved; wider convs keep the
-    // scalar int64 loop). The packed pipeline pre-widens the weight
-    // matrix once per call — read-only after this, so shared across
-    // channel-split lanes. Parallel only without hooks (the stats struct
-    // is unsynchronized, the corrected-row scratch is shared); each lane
-    // owns a disjoint channel range and private accumulator/pack tiles,
-    // so results match serial bit for bit (lanes re-pack the same tile —
-    // redundant work, never a race).
+    // Widen the weights once per call with each channel's zero-point
+    // folded in — read-only after this, so shared across channel-split
+    // lanes. Convs whose kdim·255² passes INT32_MAX run the scalar
+    // reference pack with the i64 GEMM on every tier.
     const std::uint8_t* weights = qc.qweights.data();
-    const bool use_packed = g.acc32_safe && packed_.gemm != nullptr;
-    if (use_packed) {
-        ExecContext::reserve(scr.w16, out_c * (g.kdim + (g.kdim & 1)));
-        kernels_simd::widen_weights_u8(weights, out_c, g.kdim, scr.w16.data());
-    }
+    const std::size_t wstride = kernels_simd::weight_stride(g.kdim);
+    ExecContext::reserve(scr.w16, out_c * wstride);
+    for (std::size_t oc = 0; oc < out_c; ++oc)
+        kernels_simd::widen_weights_u8(weights + oc * g.kdim, g.kdim,
+                                       qc.wq(static_cast<int>(oc)).zero_point,
+                                       scr.w16.data() + oc * wstride);
+    const kernels_simd::PackedKernels wide_pk =
+        kernels_simd::packed_kernels(kernels_simd::KernelTier::Scalar);
+
+    // Parallel only without hooks (the stats are unsynchronized, the
+    // corrected-row scratch is shared); each lane owns a disjoint channel
+    // range and private accumulator/pack tiles, so results match serial
+    // bit for bit (lanes re-pack the same tile — redundant work, never a
+    // race).
     const auto run_range = [&](std::vector<std::int32_t>& acc32,
                                std::vector<std::int64_t>& acc64,
                                std::vector<std::int16_t>& packed, std::size_t b,
                                std::size_t e) {
-        if (use_packed)
-            conv_rows_packed(weights, g.kdim, columns, scr.w16.data(), cols, epi, acc32,
-                             packed, tile, packed_, b, e);
-        else if (g.acc32_safe && simd_kernel_ != nullptr)
-            conv_rows_simd(weights, g.kdim, columns, cols, epi, acc32, tile, simd_kernel_, b,
-                           e);
-        else if (g.acc32_safe)
-            conv_rows<std::int32_t>(weights, g.kdim, columns, cols, epi, acc32, tile, b, e);
+        if (g.acc32_safe)
+            conv_rows<std::int32_t>(operand, cols, scr.w16.data(), epi, packed_.pack,
+                                    packed_.gemm, packed_.col_group, acc32, packed, tile, b,
+                                    e);
         else
-            conv_rows<std::int64_t>(weights, g.kdim, columns, cols, epi, acc64, tile, b, e);
+            conv_rows<std::int64_t>(operand, cols, scr.w16.data(), epi, wide_pk.pack,
+                                    &kernels_simd::gemm_packed_i64, wide_pk.col_group, acc64,
+                                    packed, tile, b, e);
     };
     if (call.pool != nullptr && !serial_only() && out_c > 1) {
         // Lane-private accumulator/pack tiles live in the scratch and
@@ -377,6 +284,11 @@ void QuantBackend::conv(const ConvCall& call, ExecContext& ctx) {
     } else {
         // Serial: reuse scratch accumulators, no per-conv allocation.
         run_range(scr.acc32, scr.acc64, scr.packed, 0, out_c);
+    }
+    if (stats_) {
+        stats_->max_abs_accumulator =
+            std::max(stats_->max_abs_accumulator, conv_stats.max_abs << shift);
+        stats_->accumulator_overflows += conv_stats.overflows;
     }
 }
 

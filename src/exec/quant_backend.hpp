@@ -2,7 +2,12 @@
 // executed through the planned engine. Numerics are bit-identical to the
 // seed quantized interpreter (integer accumulation is order-independent,
 // so the cache-tiled GEMM below reassociates freely without changing a
-// single output bit). Fig. 1b bit-flip injection rides the same GEMM:
+// single output bit). There is no im2col column matrix: the input codes
+// are laid out once with every plane zero-bordered, and each column tile
+// of the GEMM operand is packed straight from them through per-row and
+// per-column offsets. The weight zero-point is folded into the widened
+// weights (w − zw), so the GEMM yields acc − zw·colsum directly and no
+// column-sum pass runs. Fig. 1b bit-flip injection rides the same GEMM:
 // the injector's draws depend only on the product count, so one block
 // walk over a conv's products, in the seed's linear order
 // (oc·kdim + k)·cols + j, yields every flip's position and bit; each
@@ -63,12 +68,9 @@ public:
     /// because the integer reduction is exact.
     void set_kernel_tier(kernels_simd::KernelTier tier) {
         tier_ = tier;
-        const bool scalar = tier == kernels_simd::KernelTier::Scalar;
-        simd_kernel_ = scalar ? nullptr : kernels_simd::gemm_u8_kernel(tier);
-        packed_ = scalar ? kernels_simd::PackedKernels{} : kernels_simd::packed_kernels(tier);
-        quantize_kernel_ = scalar ? nullptr : kernels_simd::quantize_u8_kernel(tier);
-        epilogue_kernel_ = scalar ? nullptr : kernels_simd::epilogue_kernel(tier);
-        colsum_kernel_ = scalar ? nullptr : kernels_simd::colsum_kernel(tier);
+        packed_ = kernels_simd::packed_kernels(tier);
+        quantize_kernel_ = kernels_simd::quantize_u8_kernel(tier);
+        epilogue_kernel_ = kernels_simd::epilogue_kernel(tier);
     }
     [[nodiscard]] kernels_simd::KernelTier kernel_tier() const { return tier_; }
 
@@ -89,11 +91,9 @@ private:
     inject::BitFlipInjector* injector_ = nullptr;
     QuantExecStats* stats_ = nullptr;
     kernels_simd::KernelTier tier_ = kernels_simd::KernelTier::Scalar;
-    kernels_simd::GemmU8Fn simd_kernel_ = nullptr;          ///< null ⇔ scalar tier
-    kernels_simd::PackedKernels packed_{};                  ///< preferred GEMM pipeline
+    kernels_simd::PackedKernels packed_{};                  ///< pack + GEMM of the tier
     kernels_simd::QuantizeU8Fn quantize_kernel_ = nullptr;  ///< null ⇒ scalar loop
-    kernels_simd::EpilogueFn epilogue_kernel_ = nullptr;    ///< null ⇒ scalar epilogue
-    kernels_simd::ColSumFn colsum_kernel_ = nullptr;        ///< null ⇒ scalar colsum
+    kernels_simd::EpilogueFn epilogue_kernel_ = nullptr;
 };
 
 }  // namespace raq::exec

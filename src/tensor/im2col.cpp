@@ -1,6 +1,7 @@
-// The library's one im2col kernel (float activations and u8 codes), used
-// by training, the float reference walker and both planned-engine
-// backends.
+// The library's im2col kernel, used by training, the float reference
+// walker and the planned engine's float backend. (The quantized conv
+// builds no column matrix: it packs its GEMM operand straight from
+// zero-bordered codes, see exec::QuantBackend.)
 //
 // Each input plane is first copied into a zero-bordered (h+2p)×(w+2p)
 // plane, so every column slot becomes a plain read: no per-element
@@ -20,14 +21,14 @@ namespace {
 /// Moves `rows` rows of `width` elements: row r reads src + r·src_pitch
 /// at element stride `stride` and writes dst + r·dst_pitch contiguously.
 /// kWidth / kStride > 0 pin the width / stride at compile time.
-template <int kWidth, int kStride, typename T>
-void move_rows(const T* src, std::size_t src_pitch, int stride, T* dst,
+template <int kWidth, int kStride>
+void move_rows(const float* src, std::size_t src_pitch, int stride, float* dst,
                std::size_t dst_pitch, int rows, int width) {
     const std::size_t w = static_cast<std::size_t>(kWidth > 0 ? kWidth : width);
     const std::size_t st = static_cast<std::size_t>(kStride > 0 ? kStride : stride);
     for (int r = 0; r < rows; ++r, src += src_pitch, dst += dst_pitch) {
         if (st == 1)
-            std::memcpy(dst, src, w * sizeof(T));
+            std::memcpy(dst, src, w * sizeof(float));
         else
             for (std::size_t x = 0; x < w; ++x) dst[x] = src[x * st];
     }
@@ -36,9 +37,9 @@ void move_rows(const T* src, std::size_t src_pitch, int stride, T* dst,
 /// The whole kernel for one (output width, stride) pair; kOw / kStride > 0
 /// fix them at compile time, so every row move inlines to fixed-size
 /// loads and stores.
-template <int kOw, int kStride, typename T>
-void im2col_fixed(const T* in, const Shape& s, int kh, int kw, int stride, int pad,
-                  T* columns, int oh, int ow, T* plane) {
+template <int kOw, int kStride>
+void im2col_fixed(const float* in, const Shape& s, int kh, int kw, int stride, int pad,
+                  float* columns, int oh, int ow, float* plane) {
     const std::size_t in_hw = static_cast<std::size_t>(s.h) * static_cast<std::size_t>(s.w);
     const std::size_t out_hw = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
     const std::size_t cols = static_cast<std::size_t>(s.n) * out_hw;
@@ -52,11 +53,11 @@ void im2col_fixed(const T* in, const Shape& s, int kh, int kw, int stride, int p
     // zero all of it once here; each input plane then overwrites only the
     // interior, so the border stays zero for the whole call.
     if (pad > 0)
-        std::memset(plane, 0, (static_cast<std::size_t>(s.h) + 2 * border) * pitch * sizeof(T));
+        std::memset(plane, 0, (static_cast<std::size_t>(s.h) + 2 * border) * pitch * sizeof(float));
 
     for (int n = 0; n < s.n; ++n)
         for (int c = 0; c < s.c; ++c) {
-            const T* src = in + (static_cast<std::size_t>(n) * static_cast<std::size_t>(s.c) +
+            const float* src = in + (static_cast<std::size_t>(n) * static_cast<std::size_t>(s.c) +
                                  static_cast<std::size_t>(c)) *
                                     in_hw;
             if (pad > 0) {
@@ -64,11 +65,11 @@ void im2col_fixed(const T* in, const Shape& s, int kh, int kw, int stride, int p
                                 plane + border * (pitch + 1), pitch, s.h, s.w);
                 src = plane;
             }
-            T* dst = columns + static_cast<std::size_t>(c) * kk * cols +
+            float* dst = columns + static_cast<std::size_t>(c) * kk * cols +
                      static_cast<std::size_t>(n) * out_hw;
             for (int ky = 0; ky < kh; ++ky)
                 for (int kx = 0; kx < kw; ++kx, dst += cols) {
-                    const T* from = src + static_cast<std::size_t>(ky) * pitch +
+                    const float* from = src + static_cast<std::size_t>(ky) * pitch +
                                     static_cast<std::size_t>(kx);
                     move_rows<kOw, kStride>(from, step, stride, dst,
                                             static_cast<std::size_t>(ow), oh, ow);
@@ -76,31 +77,24 @@ void im2col_fixed(const T* in, const Shape& s, int kh, int kw, int stride, int p
         }
 }
 
-template <typename T>
-using Im2colFn = void (*)(const T*, const Shape&, int, int, int, int, T*, int, int, T*);
+using Im2colFn = void (*)(const float*, const Shape&, int, int, int, int, float*, int, int,
+                          float*);
 
 /// Picks the instantiation for the (stride, output width) pairs that
 /// alexnet-mini and resnet20-mini run on their 16×16 inputs: stride 1 at
 /// widths 16, 8 and 4, stride 2 at 8 and 4. Every other geometry takes
 /// the generic kernel.
-template <typename T>
-Im2colFn<T> pick_kernel(int stride, int ow) {
+Im2colFn pick_kernel(int stride, int ow) {
     if (stride == 1) {
-        if (ow == 4) return im2col_fixed<4, 1, T>;
-        if (ow == 8) return im2col_fixed<8, 1, T>;
-        if (ow == 16) return im2col_fixed<16, 1, T>;
+        if (ow == 4) return im2col_fixed<4, 1>;
+        if (ow == 8) return im2col_fixed<8, 1>;
+        if (ow == 16) return im2col_fixed<16, 1>;
     }
     if (stride == 2) {
-        if (ow == 4) return im2col_fixed<4, 2, T>;
-        if (ow == 8) return im2col_fixed<8, 2, T>;
+        if (ow == 4) return im2col_fixed<4, 2>;
+        if (ow == 8) return im2col_fixed<8, 2>;
     }
-    return im2col_fixed<0, 0, T>;
-}
-
-template <typename T>
-void im2col_impl(const T* in, const Shape& s, int kh, int kw, int stride, int pad,
-                 T* columns, int oh, int ow, T* plane) {
-    pick_kernel<T>(stride, ow)(in, s, kh, kw, stride, pad, columns, oh, ow, plane);
+    return im2col_fixed<0, 0>;
 }
 
 }  // namespace
@@ -112,12 +106,7 @@ std::size_t im2col_plane_elems(const Shape& s, int pad) {
 
 void im2col_into(const float* in, const Shape& s, int kh, int kw, int stride, int pad,
                  float* columns, int oh, int ow, float* plane) {
-    im2col_impl(in, s, kh, kw, stride, pad, columns, oh, ow, plane);
-}
-
-void im2col_into(const std::uint8_t* in, const Shape& s, int kh, int kw, int stride, int pad,
-                 std::uint8_t* columns, int oh, int ow, std::uint8_t* plane) {
-    im2col_impl(in, s, kh, kw, stride, pad, columns, oh, ow, plane);
+    pick_kernel(stride, ow)(in, s, kh, kw, stride, pad, columns, oh, ow, plane);
 }
 
 }  // namespace raq::tensor

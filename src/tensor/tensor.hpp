@@ -107,16 +107,13 @@ void im2col(const Tensor& in, int kh, int kw, int stride, int pad,
 /// im2col_into needs for an input of shape `s`.
 [[nodiscard]] std::size_t im2col_plane_elems(const Shape& s, int pad);
 
-/// The raw-pointer im2col kernel behind im2col() and both planned-engine
-/// backends (float activations and u8 codes): writes every slot of the
-/// caller's [C*kh*kw, N*oh*ow] `columns`, padding slots as zero, so the
-/// buffer needs no pre-zeroing. `plane` is caller scratch of
-/// im2col_plane_elems(s, pad) elements (unused when pad == 0); its
-/// contents on entry do not matter.
+/// The raw-pointer im2col kernel behind im2col() and the planned engine's
+/// float backend: writes every slot of the caller's [C*kh*kw, N*oh*ow]
+/// `columns`, padding slots as zero, so the buffer needs no pre-zeroing.
+/// `plane` is caller scratch of im2col_plane_elems(s, pad) elements
+/// (unused when pad == 0); its contents on entry do not matter.
 void im2col_into(const float* in, const Shape& s, int kh, int kw, int stride, int pad,
                  float* columns, int oh, int ow, float* plane);
-void im2col_into(const std::uint8_t* in, const Shape& s, int kh, int kw, int stride, int pad,
-                 std::uint8_t* columns, int oh, int ow, std::uint8_t* plane);
 
 /// col2im: scatter-add the column matrix back into input gradient layout.
 void col2im(const std::vector<float>& columns, const Shape& in_shape, int kh, int kw,

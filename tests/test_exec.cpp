@@ -9,6 +9,7 @@
 // the library no longer has to carry the duplicate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -313,6 +314,67 @@ TEST(ExecQuant, InjectionStreamMatchesSeedInterpreter) {
     EXPECT_GT(total_flips, 0u);
 }
 
+TEST(ExecQuant, WideAccumulatorConvMatchesSeedInterpreter) {
+    // kdim = 3700·3·3 = 33300 > INT32_MAX / 255² (33025), so the plan
+    // cannot prove an i32 accumulator safe and every tier takes the i64
+    // reference pack + GEMM. All codes 255 against zero-point-0 weights of
+    // 255 drive the sums past INT32_MAX; the last channel's zero-point
+    // 255 folds its weights to zero. Clean and injected runs must match
+    // the seed interpreter in logits, flips and every stats field.
+    std::mt19937 rng(37);
+    ir::Graph graph;
+    const int in = graph.add_input({1, 3700, 3, 3});
+    graph.set_output(graph.add(conv_op(in, 3700, 3, 3, 1, 0, rng)));
+    const exec::ExecPlan plan(graph, exec::PlanOptions{2, true});
+    ASSERT_FALSE(plan.conv_geom(0)->acc32_safe);
+
+    tensor::Tensor images({2, 3700, 3, 3});
+    for (auto& v : images.vec()) v = 1.0f + static_cast<float>(rng() % 100) * 0.01f;
+    const std::vector<int> labels(2, 0);
+    auto qgraph = quant::quantize_graph(graph, quant::Method::M2_MinMaxAsymmetric,
+                                        quant::QuantConfig{},
+                                        quant::calibrate(graph, images, labels));
+    quant::QConv& qc = qgraph.conv(0);
+    std::fill(qc.qweights.begin(), qc.qweights.end(), std::uint8_t{255});
+    qc.weight_q.assign(3, qc.wq(0));
+    qc.weight_q[0].zero_point = 0;
+    qc.weight_q[1].zero_point = 0;
+    qc.weight_q[2].zero_point = 255;
+    // Inputs far above the activation range clamp to code 255.
+    tensor::Tensor batch({2, 3700, 3, 3});
+    for (auto& v : batch.vec()) v = 1e6f;
+
+    for (const auto tier : exec::kernels_simd::available_tiers()) {
+        quant::QuantRunner runner(qgraph, 2);
+        runner.set_kernel_tier(tier);
+        for (const double rate : {0.0, 1e-2}) {
+            SCOPED_TRACE(::testing::Message()
+                         << exec::kernels_simd::tier_name(tier) << " rate=" << rate);
+            inject::InjectionConfig cfg;
+            cfg.flip_probability = rate;
+            cfg.seed = 5;
+            inject::BitFlipInjector ref_injector(cfg), planned_injector(cfg);
+            inject::BitFlipInjector* ref_inj = rate > 0 ? &ref_injector : nullptr;
+            inject::BitFlipInjector* planned_inj = rate > 0 ? &planned_injector : nullptr;
+            quant::QuantExecStats ref_stats, planned_stats;
+            const tensor::Tensor reference =
+                seedref::run_quantized(qgraph, batch, ref_inj, &ref_stats);
+            const tensor::Tensor planned = runner.run(batch, planned_inj, &planned_stats);
+            expect_bitwise_equal(planned, reference, "wide");
+            EXPECT_EQ(planned_injector.flips_injected(), ref_injector.flips_injected());
+            EXPECT_EQ(planned_stats.flips, ref_stats.flips);
+            EXPECT_EQ(planned_stats.mac_count, ref_stats.mac_count);
+            EXPECT_EQ(planned_stats.max_abs_accumulator, ref_stats.max_abs_accumulator);
+            EXPECT_EQ(planned_stats.accumulator_overflows, ref_stats.accumulator_overflows);
+            EXPECT_GT(planned_stats.max_abs_accumulator,
+                      std::int64_t{std::numeric_limits<std::int32_t>::max()});
+            if (rate > 0) {
+                EXPECT_GT(planned_stats.flips, 0u);
+            }
+        }
+    }
+}
+
 TEST(ExecPlan, ArenaAliasesDeadIntermediatesSafely) {
     const ir::Graph graph = branch_graph();
     const exec::ExecPlan plan(graph, exec::PlanOptions{2, true});
@@ -439,8 +501,8 @@ ir::Graph odd_graph(unsigned seed = 17) {
 }
 
 TEST(ExecSimd, EveryDispatchTierMatchesScalarBitForBit) {
-    // The whole SIMD contract in one sweep: every available tier (plain
-    // and packed pipelines, vectorized quantize/colsum/epilogue) against
+    // The whole SIMD contract in one sweep: every available tier (pack
+    // from plane, packed GEMM, vectorized quantize/epilogue) against
     // the scalar reference, across zero-point-heavy asymmetric quant,
     // per-channel ACIQ, an LSB-padded low-bit config with an act_mask,
     // and graphs with odd remainders in every GEMM dimension.
@@ -490,60 +552,140 @@ TEST(ExecSimd, EveryDispatchTierMatchesScalarBitForBit) {
 }
 
 TEST(ExecSimd, KernelFamiliesMatchScalarOnOddShapes) {
-    // Direct microkernel-level check, below the conv plumbing: unpacked
-    // and packed GEMMs of every tier against the scalar kernel on shapes
-    // with remainders in rows (row-block), kdim (k-pair pad) and n
-    // (column-group tail).
+    // Direct microkernel-level check, below the conv plumbing: every
+    // tier's pack + GEMM (and the i64 reference GEMM) against a naive
+    // Σ_k (w − zw)·a loop, on shapes with remainders in rows (row block),
+    // kdim (k-pair pad) and n (partial last column group), with extreme
+    // weights (0 and 255) against zero-points 0, 128 and 255.
+    namespace simd = exec::kernels_simd;
     const struct {
         std::size_t rows, kdim, n;
     } shapes[] = {{5, 7, 33}, {7, 27, 100}, {13, 61, 257}, {4, 64, 96}};
+    const std::int32_t zero_points[] = {0, 128, 255};
     std::mt19937 rng(271);
-    std::uniform_int_distribution<int> byte(0, 255);
-    const auto scalar = exec::kernels_simd::gemm_u8_kernel(
-        exec::kernels_simd::KernelTier::Scalar);
     for (const auto& s : shapes) {
-        std::vector<std::uint8_t> w(s.rows * s.kdim), cols(s.kdim * s.n);
-        for (auto& v : w) v = static_cast<std::uint8_t>(byte(rng));
-        for (auto& v : cols) v = static_cast<std::uint8_t>(byte(rng));
-        std::vector<std::int32_t> ref(s.rows * s.n), acc(s.rows * s.n);
-        scalar(w.data(), s.kdim, s.rows, cols.data(), s.n, s.kdim, s.n, ref.data(), s.n);
-        for (const auto tier : exec::kernels_simd::available_tiers()) {
-            if (tier == exec::kernels_simd::KernelTier::Scalar) continue;
-            const auto kernel = exec::kernels_simd::gemm_u8_kernel(tier);
-            std::fill(acc.begin(), acc.end(), -1);
-            kernel(w.data(), s.kdim, s.rows, cols.data(), s.n, s.kdim, s.n, acc.data(),
-                   s.n);
-            EXPECT_EQ(acc, ref) << "unpacked " << exec::kernels_simd::tier_name(tier);
-
-            const auto pk = exec::kernels_simd::packed_kernels(tier);
-            if (pk.gemm == nullptr) continue;
-            const std::size_t jv = s.n - s.n % pk.col_group;  // full column groups
-            if (jv == 0) continue;
-            const std::size_t wstride = s.kdim + (s.kdim & 1);
-            std::vector<std::int16_t> w16(s.rows * wstride);
-            exec::kernels_simd::widen_weights_u8(w.data(), s.rows, s.kdim, w16.data());
+        std::vector<std::uint8_t> w(s.rows * s.kdim);
+        std::vector<std::uint8_t> codes(s.kdim * s.n + simd::kCodeSlack);
+        for (auto& v : w) {
+            const unsigned pick = rng() % 3;
+            v = static_cast<std::uint8_t>(pick == 0 ? 0 : pick == 1 ? 255 : rng() % 256);
+        }
+        for (auto& v : codes) v = static_cast<std::uint8_t>(rng() % 4 == 0 ? 255 : rng() % 256);
+        const std::size_t wstride = simd::weight_stride(s.kdim);
+        std::vector<std::int16_t> w16(s.rows * wstride);
+        std::vector<std::int64_t> ref(s.rows * s.n);
+        for (std::size_t r = 0; r < s.rows; ++r) {
+            const std::int32_t zw = zero_points[r % 3];
+            simd::widen_weights_u8(w.data() + r * s.kdim, s.kdim, zw, w16.data() + r * wstride);
+            for (std::size_t j = 0; j < s.n; ++j) {
+                std::int64_t sum = 0;
+                for (std::size_t k = 0; k < s.kdim; ++k)
+                    sum += (std::int64_t{w[r * s.kdim + k]} - zw) * codes[k * s.n + j];
+                ref[r * s.n + j] = sum;
+            }
+        }
+        // The codes as a plain [kdim, n] matrix: row k at k·n, column j at j.
+        std::vector<std::uint32_t> koff(s.kdim), off(s.n);
+        for (std::size_t k = 0; k < s.kdim; ++k) koff[k] = static_cast<std::uint32_t>(k * s.n);
+        for (std::size_t j = 0; j < s.n; ++j) off[j] = static_cast<std::uint32_t>(j);
+        simd::PlaneTile t;
+        t.codes = codes.data();
+        t.koff = koff.data();
+        t.off = off.data();
+        t.kdim = s.kdim;
+        t.n = s.n;
+        for (const std::size_t run : {std::size_t{16}, std::size_t{8}, std::size_t{4}})
+            if (s.n % run == 0 && t.run == 1) t.run = run;
+        for (const auto tier : simd::available_tiers()) {
+            const simd::PackedKernels pk = simd::packed_kernels(tier);
+            const std::size_t stride = simd::padded_cols(s.n, pk.col_group);
             std::vector<std::int16_t> packed(
-                exec::kernels_simd::packed_panel_elems(s.kdim, jv, pk.col_group));
-            pk.pack(cols.data(), s.n, s.kdim, jv, packed.data());
-            std::fill(acc.begin(), acc.end(), -1);
-            pk.gemm(w16.data(), wstride, s.rows, packed.data(), s.kdim, jv, acc.data(),
-                    s.n);
+                simd::packed_panel_elems(s.kdim, s.n, pk.col_group));
+            pk.pack(t, packed.data());
+            std::vector<std::int32_t> acc(s.rows * stride, -1);
+            pk.gemm(w16.data(), wstride, s.rows, packed.data(), s.kdim, s.n, acc.data(), stride);
             for (std::size_t r = 0; r < s.rows; ++r)
-                for (std::size_t j = 0; j < jv; ++j)
-                    ASSERT_EQ(acc[r * s.n + j], ref[r * s.n + j])
-                        << "packed " << exec::kernels_simd::tier_name(tier) << " r=" << r
-                        << " j=" << j;
+                for (std::size_t j = 0; j < stride; ++j)
+                    ASSERT_EQ(acc[r * stride + j], j < s.n ? ref[r * s.n + j] : 0)
+                        << simd::tier_name(tier) << " r=" << r << " j=" << j;
+        }
+        const simd::PackedKernels reference = simd::packed_kernels(simd::KernelTier::Scalar);
+        std::vector<std::int16_t> packed(simd::packed_panel_elems(s.kdim, s.n, 1));
+        reference.pack(t, packed.data());
+        std::vector<std::int64_t> acc64(s.rows * s.n, -1);
+        simd::gemm_packed_i64(w16.data(), wstride, s.rows, packed.data(), s.kdim, s.n,
+                              acc64.data(), s.n);
+        EXPECT_EQ(acc64, ref) << "i64 reference";
+    }
+}
+
+TEST(ExecSimd, EpilogueKernelsMatchReferenceWithStats) {
+    // Every tier's epilogue and the i64 one against a naive loop: outputs
+    // bit for bit, and the max-|corrected| / overflow reduction exactly,
+    // with and without stats, over lengths with vector remainders. The
+    // first values sit on the overflow boundary (|corrected| = over_at,
+    // over_at − 1, and −over_at).
+    namespace simd = exec::kernels_simd;
+    std::mt19937 rng(313);
+    std::uniform_int_distribution<std::int32_t> big(-(1 << 30), 1 << 30);
+    std::uniform_int_distribution<std::int32_t> small(-(1 << 23), 1 << 23);
+    constexpr float kScale = 0.0123f;
+    for (const std::size_t n : {std::size_t{3}, std::size_t{7}, std::size_t{8},
+                                std::size_t{37}, std::size_t{256}}) {
+        for (const std::int32_t qb : {0, -12345, 1 << 29}) {
+            for (const std::int64_t over_at : {std::int64_t{1}, std::int64_t{1} << 22,
+                                               std::int64_t{1} << 30}) {
+                std::vector<std::int32_t> acc(n);
+                for (auto& v : acc) v = rng() % 2 ? big(rng) : small(rng);
+                acc[0] = static_cast<std::int32_t>(over_at - qb);
+                acc[1] = static_cast<std::int32_t>(over_at - 1 - qb);
+                acc[2] = static_cast<std::int32_t>(-over_at - qb);
+                std::vector<float> expected(n);
+                std::int64_t max_abs = 0;
+                std::uint64_t overflows = 0;
+                for (std::size_t j = 0; j < n; ++j) {
+                    const std::int64_t corrected = std::int64_t{acc[j]} + qb;
+                    const std::int64_t mag = corrected < 0 ? -corrected : corrected;
+                    max_abs = std::max(max_abs, mag);
+                    if (mag >= over_at) ++overflows;
+                    expected[j] = static_cast<float>(corrected) * kScale;
+                }
+                const auto check = [&](const char* what, const std::vector<float>& out,
+                                       const simd::EpilogueStats* stats) {
+                    SCOPED_TRACE(::testing::Message() << what << " n=" << n << " qb=" << qb
+                                                      << " over_at=" << over_at);
+                    EXPECT_EQ(std::memcmp(out.data(), expected.data(), n * sizeof(float)), 0);
+                    if (stats == nullptr) return;
+                    EXPECT_EQ(stats->max_abs, max_abs);
+                    EXPECT_EQ(stats->overflows, overflows);
+                };
+                simd::EpilogueStats wide_stats;
+                wide_stats.over_at = over_at;
+                std::vector<float> out(n);
+                const std::vector<std::int64_t> wide(acc.begin(), acc.end());
+                simd::epilogue_i64(wide.data(), n, qb, kScale, out.data(), &wide_stats);
+                check("i64", out, &wide_stats);
+                for (const auto tier : simd::available_tiers()) {
+                    const simd::EpilogueFn epi = simd::epilogue_kernel(tier);
+                    simd::EpilogueStats stats;
+                    stats.over_at = over_at;
+                    epi(acc.data(), n, qb, kScale, out.data(), &stats);
+                    check(simd::tier_name(tier), out, &stats);
+                    std::fill(out.begin(), out.end(), 0.0f);
+                    epi(acc.data(), n, qb, kScale, out.data(), nullptr);
+                    check(simd::tier_name(tier), out, nullptr);
+                }
+            }
         }
     }
 }
 
-TEST(ExecKernels, Im2colMatchesNaiveReference) {
-    // Every slot of the column matrix is written (sentinel-filled first),
-    // with exactly the reference's elements, for the float and u8 kernels
-    // over non-square planes, the compile-time row widths (4/8/16) and
-    // the runtime ones, and planes no larger than the kernel. Inputs are
-    // never zero, so a zero in the columns can only be padding.
-    std::mt19937 rng(97);
+/// The im2col sweep's geometries: every (n, c, plane, k, stride, pad)
+/// whose padded plane holds the kernel — non-square planes, the
+/// compile-time row widths (4/8/16) and runtime ones, planes no larger
+/// than the kernel.
+template <typename Fn>
+int for_each_conv_geometry(Fn&& fn) {
     const struct {
         int h, w;
     } planes[] = {{2, 3}, {3, 2}, {5, 16}, {9, 8}, {16, 7}, {4, 4}};
@@ -555,39 +697,142 @@ TEST(ExecKernels, Im2colMatchesNaiveReference) {
                     for (const int stride : {1, 2, 3})
                         for (const int pad : {0, 1, 2}) {
                             if (p.h + 2 * pad < k || p.w + 2 * pad < k) continue;
-                            const tensor::Shape s{n, c, p.h, p.w};
-                            std::vector<float> fin(s.size());
-                            std::vector<std::uint8_t> qin(s.size());
-                            for (std::size_t i = 0; i < s.size(); ++i) {
-                                qin[i] = static_cast<std::uint8_t>(1 + rng() % 255);
-                                fin[i] = static_cast<float>(qin[i]) * 0.25f - 32.5f;
-                            }
-                            std::vector<float> fplane;
-                            std::vector<std::uint8_t> qplane;
-                            expect_im2col_matches(fin, s, k, stride, pad, fplane,
-                                                  std::numeric_limits<float>::quiet_NaN());
-                            expect_im2col_matches(qin, s, k, stride, pad, qplane,
-                                                  std::uint8_t{0xAB});
+                            fn(tensor::Shape{n, c, p.h, p.w}, k, stride, pad);
                             ++checked;
                         }
+    return checked;
+}
+
+TEST(ExecKernels, Im2colMatchesNaiveReference) {
+    // Every slot of the column matrix is written (sentinel-filled first),
+    // with exactly the reference's elements. Inputs are never zero, so a
+    // zero in the columns can only be padding.
+    std::mt19937 rng(97);
+    const int checked =
+        for_each_conv_geometry([&](const tensor::Shape& s, int k, int stride, int pad) {
+            std::vector<float> in(s.size());
+            for (auto& v : in) v = static_cast<float>(1 + rng() % 255) * 0.25f - 32.5f;
+            std::vector<float> plane;
+            expect_im2col_matches(in, s, k, stride, pad, plane,
+                                  std::numeric_limits<float>::quiet_NaN());
+        });
     EXPECT_EQ(checked, 780);
 
     // Stale border: one scratch plane serves a pad-1 conv over a wide
     // plane, then a pad-2 conv over a smaller one. The second conv's
     // border overlaps the first's interior and must still read zero.
-    std::vector<std::uint8_t> shared_plane;
-    std::vector<float> shared_fplane;
+    std::vector<float> shared_plane;
     const tensor::Shape first{2, 3, 9, 12};
     const tensor::Shape second{2, 3, 5, 4};
-    const std::vector<std::uint8_t> first_in(first.size(), 0xFF);
-    const std::vector<std::uint8_t> second_in(second.size(), 0x11);
-    expect_im2col_matches(first_in, first, 3, 1, 1, shared_plane, std::uint8_t{0xAB});
-    expect_im2col_matches(second_in, second, 5, 1, 2, shared_plane, std::uint8_t{0xAB});
     expect_im2col_matches(std::vector<float>(first.size(), 7.0f), first, 3, 1, 1,
-                          shared_fplane, std::numeric_limits<float>::quiet_NaN());
+                          shared_plane, std::numeric_limits<float>::quiet_NaN());
     expect_im2col_matches(std::vector<float>(second.size(), -3.0f), second, 5, 1, 2,
-                          shared_fplane, std::numeric_limits<float>::quiet_NaN());
+                          shared_plane, std::numeric_limits<float>::quiet_NaN());
     EXPECT_GE(shared_plane.size(), tensor::im2col_plane_elems(first, 1));
+}
+
+/// Column `slot` of a packed record holds column column_in_slot(slot) of
+/// its group: in order, except AVX2's lane-local 0–3, 8–11, 4–7, 12–15.
+std::size_t column_in_slot(std::size_t slot, std::size_t col_group) {
+    if (col_group != 16) return slot;
+    return (slot % 8) / 4 * 8 + slot / 8 * 4 + slot % 4;
+}
+
+/// Naive pack of columns [j0, j0 + n) of a [kdim, cols] column matrix into
+/// the panel layout of kernels_simd::PackFn, zero past the last column.
+std::vector<std::int16_t> naive_pack(const std::vector<std::uint8_t>& columns,
+                                     std::size_t kdim, std::size_t cols, std::size_t j0,
+                                     std::size_t n, std::size_t col_group) {
+    const std::size_t kp = (kdim + 1) / 2;
+    std::vector<std::int16_t> panel(
+        exec::kernels_simd::packed_panel_elems(kdim, n, col_group));
+    for (std::size_t g = 0; g * col_group < n; ++g)
+        for (std::size_t p = 0; p < kp; ++p)
+            for (std::size_t slot = 0; slot < col_group; ++slot)
+                for (std::size_t half = 0; half < 2; ++half) {
+                    const std::size_t j = g * col_group + column_in_slot(slot, col_group);
+                    const std::size_t k = 2 * p + half;
+                    panel[(g * kp + p) * 2 * col_group + 2 * slot + half] =
+                        j < n && k < kdim ? columns[k * cols + j0 + j] : 0;
+                }
+    return panel;
+}
+
+/// Lays the codes out as QuantBackend does (bordered_codes into a stale,
+/// sentinel-filled scratch, then conv_operand), packs them with every
+/// tier, whole and in 16-column tiles, into sentinel-filled panels, and
+/// compares each panel and its untouched tail with the naive pack of the
+/// naive im2col matrix.
+void expect_pack_matches(const std::vector<std::uint8_t>& qin, const tensor::Shape& s, int k,
+                         int stride, int pad, std::vector<std::uint8_t>& bordered) {
+    namespace simd = exec::kernels_simd;
+    const int oh = tensor::conv_out_dim(s.h, k, stride, pad);
+    const int ow = tensor::conv_out_dim(s.w, k, stride, pad);
+    const std::size_t kdim = static_cast<std::size_t>(s.c * k * k);
+    const std::size_t cols = static_cast<std::size_t>(s.n * oh * ow);
+    const std::vector<std::uint8_t> columns = naive_im2col(qin, s, k, stride, pad, oh, ow);
+    std::vector<std::uint8_t> qx(qin);
+    qx.resize(qin.size() + simd::kCodeSlack, 0xCD);
+    if (bordered.size() < simd::bordered_code_elems(s, pad) + simd::kCodeSlack)
+        bordered.resize(simd::bordered_code_elems(s, pad) + simd::kCodeSlack, 0xAB);
+    std::vector<std::uint32_t> koff(kdim, 0xDEADBEEF), off(cols, 0xDEADBEEF);
+    const simd::PlaneTile operand =
+        simd::conv_operand(simd::bordered_codes(qx.data(), s, pad, bordered.data()), s, k, k,
+                           stride, pad, oh, ow, koff.data(), off.data());
+    ASSERT_EQ(operand.kdim, kdim);
+    ASSERT_EQ(operand.n, cols);
+    constexpr std::int16_t kSentinel = 0x7A7A;
+    constexpr std::size_t kTail = 64;
+    for (const auto tier : simd::available_tiers()) {
+        const simd::PackedKernels pk = simd::packed_kernels(tier);
+        for (const std::size_t tile : {cols, std::size_t{16}}) {
+            for (std::size_t j0 = 0; j0 < cols; j0 += tile) {
+                simd::PlaneTile t = operand;
+                t.off = operand.off + j0;
+                t.n = std::min(tile, cols - j0);
+                const std::vector<std::int16_t> expected =
+                    naive_pack(columns, kdim, cols, j0, t.n, pk.col_group);
+                std::vector<std::int16_t> packed(expected.size() + kTail, kSentinel);
+                pk.pack(t, packed.data());
+                const bool tail_intact =
+                    std::all_of(packed.begin() + static_cast<std::ptrdiff_t>(expected.size()),
+                                packed.end(), [](std::int16_t v) { return v == kSentinel; });
+                packed.resize(expected.size());
+                EXPECT_TRUE(packed == expected && tail_intact)
+                    << simd::tier_name(tier) << " n=" << s.n << " c=" << s.c << " h=" << s.h
+                    << " w=" << s.w << " k=" << k << " stride=" << stride << " pad=" << pad
+                    << " run=" << operand.run << " tile=" << tile << " j0=" << j0;
+            }
+        }
+    }
+}
+
+TEST(ExecKernels, PackFromPlaneMatchesNaiveReference) {
+    // The quantized conv's GEMM operand, packed straight from the
+    // zero-bordered codes, equals the naive im2col matrix packed by the
+    // naive loop — on every tier, over the im2col sweep's geometries
+    // (contiguous, stride-2 and gathered column runs, odd kdim, column
+    // counts that are no multiple of col_group). Codes are never zero, so
+    // a zero in a panel can only be padding.
+    std::mt19937 rng(131);
+    std::vector<std::uint8_t> bordered;  // shared, so every case starts stale
+    const int checked =
+        for_each_conv_geometry([&](const tensor::Shape& s, int k, int stride, int pad) {
+            std::vector<std::uint8_t> qin(s.size());
+            for (auto& v : qin) v = static_cast<std::uint8_t>(1 + rng() % 255);
+            expect_pack_matches(qin, s, k, stride, pad, bordered);
+        });
+    EXPECT_EQ(checked, 780);
+
+    // Stale border: a pad-1 conv over a wide plane of 0xFF codes, then a
+    // pad-2 conv over a smaller one. The second conv's border overlaps
+    // the first's interior and must still read zero.
+    std::vector<std::uint8_t> shared;
+    const tensor::Shape first{2, 3, 9, 12};
+    const tensor::Shape second{2, 3, 5, 4};
+    expect_pack_matches(std::vector<std::uint8_t>(first.size(), 0xFF), first, 3, 1, 1, shared);
+    expect_pack_matches(std::vector<std::uint8_t>(second.size(), 0x11), second, 5, 1, 2,
+                        shared);
 }
 
 TEST(ExecThreading, LevelParallelRunsAreCountedAndBitIdentical) {
